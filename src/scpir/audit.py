@@ -6,6 +6,13 @@ rational identity; there are no tolerances anywhere. Each check records
 what was measured and what was expected, so a report line is a complete
 claim on its own.
 
+Each audit enumerates only the statistic that decides it. Groups draw
+independent base vectors, `answer` is a deterministic function of (query,
+stored packets), and the query builder never sees the group. So a
+server's view is decided by one (M, K) round's query multiset, a group's
+download by its count of non-silent answers, and a retrieval by its
+per-group decodes, since regions concatenate.
+
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
 two servers sharing a shift) must make the privacy and independence
@@ -15,7 +22,6 @@ checks fail.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from . import sda
@@ -31,8 +37,6 @@ from .scheme import (
     retrieve,
 )
 from .sfpir import ProtocolViolation, answer, decode, enumerate_realizations, make_queries
-
-JOINT_ENUMERATION_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -73,12 +77,6 @@ class AuditReport:
         lines.append(f"overall: {'pass' if self.overall else 'FAIL'}")
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        lines = ["check,status,measured,expected,citation"]
-        for c in self.checks:
-            lines.append(f"{c.name},{c.status},{c.measured},{c.expected},{c.tag}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # Broken query builders, used to prove the audits can fail
@@ -110,35 +108,36 @@ def queries_duplicate_shift(theta: int, base: tuple[int, ...], m: int) -> list[t
 
 
 def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_queries) -> AuditCheck:
-    """Per server and per pair of wanted files, the multiset of
-    (received query, answer payload) over all base vectors must coincide.
+    """Per server position and per pair of wanted files, the multiset of
+    received queries over all M^K base vectors must coincide.
 
-    Groups are independent, so each group containing the server is checked
-    on its own; the joint view is then identical too.
+    This is the server's whole view: its answer is a function of the
+    query and its storage alone, so equal query multisets give equal
+    (query, answer) multisets. The queries do not depend on the group, so
+    one (M, K) round covers every group, and a server in several groups
+    sees independent rounds, so its joint view is identical too.
     """
     k = library.k_files
     m = layout.m
+    views = []
+    for theta in range(1, k + 1):
+        per_server = [Counter() for _ in range(m)]
+        for base in enumerate_realizations(m, k):
+            for pos, query in enumerate(query_fn(theta, base, m)):
+                per_server[pos][query] += 1
+        views.append(per_server)
     mismatches = 0
     first = ""
-    for gi, region in enumerate(layout.groups):
-        storage = group_storage(layout, gi, library)
-        views = []
-        for theta in range(1, k + 1):
-            per_server = [Counter() for _ in range(m)]
-            for base in enumerate_realizations(m, k):
-                for pos, query in enumerate(query_fn(theta, base, m)):
-                    per_server[pos][(query, answer(query, storage).payload)] += 1
-            views.append(per_server)
-        for pos in range(m):
-            for a in range(k):
-                for b in range(a + 1, k):
-                    if views[a][pos] != views[b][pos]:
-                        mismatches += 1
-                        if not first:
-                            first = (
-                                f"group {gi} server {region.servers[pos]} can separate "
-                                f"requests for file {a + 1} and file {b + 1}"
-                            )
+    for pos in range(m):
+        for a in range(k):
+            for b in range(a + 1, k):
+                if views[a][pos] != views[b][pos]:
+                    mismatches += 1
+                    if not first:
+                        first = (
+                            f"the server at position {pos} of every group can separate "
+                            f"requests for file {a + 1} and file {b + 1}"
+                        )
     return AuditCheck(
         name="privacy",
         passed=mismatches == 0,
@@ -150,24 +149,19 @@ def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_quer
 
 
 def correctness_audit(
-    plan: StoragePlan,
-    layout: PacketLayout,
-    library: FileLibrary,
-    tamper=None,
-    joint_budget: int = JOINT_ENUMERATION_BUDGET,
+    plan: StoragePlan, layout: PacketLayout, library: FileLibrary, tamper=None
 ) -> AuditCheck:
     """Every wanted file decodes exactly, for every realization.
 
-    When the joint realization space across groups fits the budget the
-    audit drives full retrievals; otherwise each group is enumerated on
-    its own (sound because groups run independently and regions
-    concatenate), with one full retrieval per file as an assembly check.
-    `tamper(group, server_pos, answer)` lets tests corrupt an answer.
+    Groups run independent rounds and their decoded regions concatenate,
+    so each group is enumerated on its own: every (file, group, base)
+    round is decoded and compared with its region. One full retrieval per
+    file then checks the assembly. `tamper(group, server_pos, answer)`
+    lets tests corrupt an answer.
     """
     k = plan.k
     m = layout.m
-    per_group = m**k
-    joint = per_group ** len(layout.groups)
+    storages = [group_storage(layout, gi, library) for gi in range(len(layout.groups))]
     failures = 0
     runs = 0
     first = ""
@@ -178,37 +172,25 @@ def correctness_audit(
         if not first:
             first = f"file {theta} mis-decoded at {where}"
 
-    if tamper is None and joint <= joint_budget:
-        for theta in range(1, k + 1):
-            for combo in product(enumerate_realizations(m, k), repeat=len(layout.groups)):
+    for theta in range(1, k + 1):
+        for gi, (region, storage) in enumerate(zip(layout.groups, storages)):
+            want = library.file(theta)[region.file_offset : region.file_offset + region.group_bytes]
+            for base in enumerate_realizations(m, k):
                 runs += 1
-                t = retrieve(theta, plan, layout, library, list(combo))
-                if t.decoded_file != library.file(theta):
-                    note(theta, f"bases {combo}")
-    else:
-        for theta in range(1, k + 1):
-            for gi in range(len(layout.groups)):
-                storage = group_storage(layout, gi, library)
-                region = layout.groups[gi]
-                want = library.file(theta)[
-                    region.file_offset : region.file_offset + region.group_bytes
-                ]
-                for base in enumerate_realizations(m, k):
-                    runs += 1
-                    answers = [answer(q, storage) for q in make_queries(theta, base, m)]
-                    if tamper is not None:
-                        answers = [tamper(gi, pos, a) for pos, a in enumerate(answers)]
-                    try:
-                        segment = b"".join(decode(theta, base, answers))
-                    except ProtocolViolation:
-                        note(theta, f"group {gi} base {base} (protocol violation)")
-                        continue
-                    if segment != want:
-                        note(theta, f"group {gi} base {base}")
-            t = retrieve(theta, plan, layout, library, [(0,) * k] * len(layout.groups))
-            runs += 1
-            if t.decoded_file != library.file(theta):
-                note(theta, "assembled retrieval")
+                answers = [answer(q, storage) for q in make_queries(theta, base, m)]
+                if tamper is not None:
+                    answers = [tamper(gi, pos, a) for pos, a in enumerate(answers)]
+                try:
+                    segment = b"".join(decode(theta, base, answers))
+                except ProtocolViolation:
+                    note(theta, f"group {gi} base {base} (protocol violation)")
+                    continue
+                if segment != want:
+                    note(theta, f"group {gi} base {base}")
+        t = retrieve(theta, plan, layout, library, [(0,) * k] * len(layout.groups))
+        runs += 1
+        if t.decoded_file != library.file(theta):
+            note(theta, "assembled retrieval")
     return AuditCheck(
         name="correctness",
         passed=failures == 0,
@@ -221,23 +203,26 @@ def correctness_audit(
 
 def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
     """The enumerated average download must equal the closed form
-    L * (1 + 1/M + ... + 1/M^(K-1)) exactly, for every wanted file."""
+    L * (1 + 1/M + ... + 1/M^(K-1)) exactly, for every wanted file.
+
+    Whether a server stays silent depends on its query alone, and every
+    other answer carries one packet of its group, so a group's download
+    is its packet size times the non-silent answers of one (M, K) round.
+    That count is taken once per file, on one group's storage.
+    """
     k = library.k_files
     m = layout.m
     expected = average_download(layout, k)
+    storage = group_storage(layout, 0, library)
+    packet_bytes = sum(region.packet_bytes for region in layout.groups)
     measured = []
     for theta in range(1, k + 1):
-        total = Fraction(0)
-        for gi in range(len(layout.groups)):
-            storage = group_storage(layout, gi, library)
-            sent = 0
-            for base in enumerate_realizations(m, k):
-                for query in make_queries(theta, base, m):
-                    reply = answer(query, storage)
-                    if not reply.silent:
-                        sent += len(reply.payload)
-            total += Fraction(sent, m**k)
-        measured.append(total)
+        sent = sum(
+            not answer(query, storage).silent
+            for base in enumerate_realizations(m, k)
+            for query in make_queries(theta, base, m)
+        )
+        measured.append(Fraction(packet_bytes * sent, m**k))
     passed = all(v == expected for v in measured)
     return AuditCheck(
         name="rate",
@@ -382,13 +367,9 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
             tag="unequal-packets-never-worse",
         )
     )
-    improved_eta = None
-    if m >= 3:
-        if n % m == 1 and n // m >= 2:
-            improved_eta = n // m + (m + 1) // 2 + 1
-        elif n % m == m - 1 and (n + 1) // m >= 2:
-            improved_eta = (n + 1) // m + m // 2 + 1
-    if improved_eta is not None:
+    family = sda.improved_family(n, m)
+    if family is not None:
+        _, _, improved_eta = family
         measured = sda.column_profile(sda.build_improved(n, m)).eta
         checks.append(
             AuditCheck(

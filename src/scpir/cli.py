@@ -107,7 +107,7 @@ def analysis_row(n: int, m: int) -> dict:
     eta_equal = sda.column_profile(sda.build_equal_size(n, m)).eta
     eta_greedy = sda.column_profile(sda.build_greedy(n, m)).eta
     eta_improved = None
-    if m >= 3 and ((n % m == 1 and n // m >= 2) or (n % m == m - 1 and (n + 1) // m >= 2)):
+    if sda.improved_family(n, m) is not None:
         eta_improved = sda.column_profile(sda.build_improved(n, m)).eta
     eta_lower = sda.eta_lower_bound(n, m)
     return {

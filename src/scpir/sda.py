@@ -287,23 +287,33 @@ def opposite(sda: StorageDesignArray) -> StorageDesignArray:
     return _checked(StorageDesignArray(sda.n, sda.n - sda.m, flipped))
 
 
-def build_improved(n: int, m: int) -> StorageDesignArray:
-    """Block-diagonal array for N = d*M + 1 or N = d*M - 1 (d >= 2, M >= 3):
-    d-2 full MxM star blocks followed by the fixed template (plus case) or
-    the complement of the (M-1) template (minus case).
+def improved_family(n: int, m: int) -> tuple[int, bool, int] | None:
+    """(d, plus, eta) when N = d*M + 1 (plus) or N = d*M - 1 (minus) for
+    some d >= 2 and M >= 3; None when (N, M) is outside the family.
 
-    Distinct columns: d + ceil(M/2) + 1 (plus) or d + floor(M/2) + 1 (minus).
+    eta is the distinct-column count of `build_improved`:
+    d + ceil(M/2) + 1 (plus) or d + floor(M/2) + 1 (minus).
     """
     if m < 3:
-        raise ValueError(f"need M >= 3, got M={m}")
+        return None
     if n % m == 1 and n // m >= 2:
-        d = n // m
-        tail = build_q_array(m)
-    elif n % m == m - 1 and (n + 1) // m >= 2:
-        d = (n + 1) // m
-        tail = opposite(build_q_array(m - 1))
-    else:
+        return n // m, True, n // m + (m + 1) // 2 + 1
+    if n % m == m - 1 and (n + 1) // m >= 2:
+        return (n + 1) // m, False, (n + 1) // m + m // 2 + 1
+    return None
+
+
+def build_improved(n: int, m: int) -> StorageDesignArray:
+    """Block-diagonal array for the `improved_family` (N, M): d-2 full MxM
+    star blocks followed by the fixed template (plus case) or the
+    complement of the (M-1) template (minus case)."""
+    if m < 3:
+        raise ValueError(f"need M >= 3, got M={m}")
+    family = improved_family(n, m)
+    if family is None:
         raise ValueError(f"N={n} is not d*{m}+1 or d*{m}-1 for any d >= 2")
+    d, plus, _ = family
+    tail = build_q_array(m) if plus else opposite(build_q_array(m - 1))
     grid = _empty(n, n)
     for block in range(d - 2):
         _fill(grid, block * m, block * m, m, m)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpir import sda
 from scpir.audit import (
@@ -16,12 +18,18 @@ from scpir.audit import (
     storage_audit,
     subpacketization_audit,
 )
-from scpir.scheme import StoragePlan, minimal_length, plan_storage, random_library
+from scpir.scheme import (
+    StoragePlan,
+    average_download,
+    minimal_length,
+    plan_storage,
+    random_library,
+)
 from scpir.sfpir import Answer
 
 
-def build_instance(n, m, k, seed=0):
-    alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(n, m)))
+def build_instance(n, m, k, seed=0, build=sda.build_greedy):
+    alpha = sda.alpha_from_profile(sda.column_profile(build(n, m)))
     file_len = minimal_length(n, m)
     layout, plan = plan_storage(alpha, k, file_len)
     return layout, plan, random_library(k, file_len, seed)
@@ -34,33 +42,58 @@ class TestPrivacyAudit:
             assert privacy_audit(layout, library).passed
 
     def test_fails_without_query_offset(self):
-        layout, _, library = build_instance(2, 2, 2)
-        check = privacy_audit(layout, library, query_fn=queries_missing_offset)
-        assert not check.passed
-        assert "separate requests" in check.detail
+        for n, m, k in [(2, 2, 2), (11, 5, 2)]:
+            layout, _, library = build_instance(n, m, k)
+            check = privacy_audit(layout, library, query_fn=queries_missing_offset)
+            assert not check.passed, (n, m, k)
+            assert "separate requests" in check.detail
+
+
+@st.composite
+def audit_instances(draw):
+    """Greedy or equal-size (N, M, K) with 2 <= M <= N <= 10 and M^K <= 10^3."""
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers(2, n))
+    k = draw(st.integers(1, max(k for k in range(1, 10) if m**k <= 10**3)))
+    build = draw(st.sampled_from([sda.build_greedy, sda.build_equal_size]))
+    return n, m, k, build
+
+
+@settings(max_examples=25, deadline=None)
+@given(audit_instances())
+def test_audits_hold_on_random_layouts(instance):
+    n, m, k, build = instance
+    layout, plan, library = build_instance(n, m, k, build=build)
+    assert privacy_audit(layout, library).passed
+    assert correctness_audit(plan, layout, library).passed
+    rate = rate_audit(layout, library)
+    assert rate.passed
+    assert rate.measured == str(average_download(layout, k))
+    offset_dropped = privacy_audit(layout, library, query_fn=queries_missing_offset)
+    assert offset_dropped.passed == (k == 1)  # one file leaves nothing to separate
 
 
 class TestCorrectnessAudit:
     def test_passes_exhaustively(self):
-        for n, m, k in [(4, 2, 2), (9, 4, 2)]:
+        for n, m, k in [(4, 2, 2), (9, 4, 2), (12, 5, 2)]:
             layout, plan, library = build_instance(n, m, k)
             check = correctness_audit(plan, layout, library)
-            assert check.passed
-
-    def test_per_group_fallback_used_above_budget(self):
-        layout, plan, library = build_instance(12, 5, 2)
-        check = correctness_audit(plan, layout, library)  # 25^6 joint realizations
-        assert check.passed
+            assert check.passed, (n, m, k)
 
     def test_fails_on_bit_flip(self):
-        layout, plan, library = build_instance(4, 2, 2)
+        # the first group of one instance, and the last of a multi-group one
+        for (n, m, k), last in [((4, 2, 2), False), ((11, 5, 2), True)]:
+            layout, plan, library = build_instance(n, m, k)
+            target = len(layout.groups) - 1 if last else 0
 
-        def flip(gi, pos, a):
-            if gi == 0 and pos == 0 and not a.silent:
-                return Answer(bytes([a.payload[0] ^ 0x80]) + a.payload[1:])
-            return a
+            def flip(gi, pos, a):
+                if gi == target and pos == 0 and not a.silent:
+                    return Answer(bytes([a.payload[0] ^ 0x80]) + a.payload[1:])
+                return a
 
-        assert not correctness_audit(plan, layout, library, tamper=flip).passed
+            check = correctness_audit(plan, layout, library, tamper=flip)
+            assert not check.passed, (n, m, k)
+            assert f"group {target} " in check.detail
 
 
 class TestRateAudit:
@@ -155,8 +188,7 @@ class TestFullAudit:
         first = run_full_audit(9, 4, 2, seed=3)
         second = run_full_audit(9, 4, 2, seed=3)
         assert first.overall
-        assert first.to_csv() == second.to_csv()
-        assert first.to_csv().splitlines()[0] == "check,status,measured,expected,citation"
+        assert first.table() == second.table()
 
     def test_rejects_single_server_budget(self):
         with pytest.raises(ValueError):
