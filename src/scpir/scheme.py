@@ -161,15 +161,16 @@ def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
 
 
 def group_storage(layout: PacketLayout, group: int, library: FileLibrary) -> GroupStorage:
-    """The K x (M-1) packet grid every server of one group holds."""
+    """The K x (M-1) packet grid every server of one group holds, as
+    zero-copy memoryview slices of the library's files."""
     region = layout.groups[group]
     p = region.packet_bytes
     packets = tuple(
         tuple(
-            library.file(k)[region.file_offset + i * p : region.file_offset + (i + 1) * p]
+            view[region.file_offset + i * p : region.file_offset + (i + 1) * p]
             for i in range(layout.m - 1)
         )
-        for k in range(1, library.k_files + 1)
+        for view in map(memoryview, library.data)
     )
     return GroupStorage(layout.m, packets)
 

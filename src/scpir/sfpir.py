@@ -48,11 +48,14 @@ class GroupStorage:
     """K x (M-1) packet grid held by every server of one group.
 
     packets[k][i] is packet i of file k+1; all packets have equal length.
-    The virtual packet at index M-1 is represented by its absence.
+    Packets are bytes-like: `scheme.group_storage` hands out memoryview
+    slices of the library rather than copies, while answers built from
+    them are always `bytes`. The virtual packet at index M-1 is
+    represented by its absence.
     """
 
     m: int
-    packets: tuple[tuple[bytes, ...], ...]
+    packets: tuple[tuple[bytes | memoryview, ...], ...]
 
     def __post_init__(self):
         if self.m < 2:

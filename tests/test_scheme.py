@@ -1,5 +1,6 @@
 """Placement planning and end-to-end retrieval on small instances."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -15,7 +16,7 @@ from scpir.scheme import (
     retrieve,
     subpacketization,
 )
-from scpir.sfpir import enumerate_realizations
+from scpir.sfpir import enumerate_realizations, random_base_vector
 
 
 def greedy_alpha(n, m):
@@ -98,6 +99,24 @@ class TestRetrieve:
             for g in t.groups
         )
         assert t.downloaded_symbols == expected
+
+    def test_large_packets_decode_to_bytes(self):
+        # packets of 256, 512 and 1280 B: answers and decoded files are bytes,
+        # never views of the library
+        k, file_len = 8, 256 * 48
+        layout, plan = plan_storage(greedy_alpha(12, 5), k, file_len)
+        library = random_library(k, file_len, seed=3)
+        rng = random.Random(3)
+        for theta in range(1, k + 1):
+            # group 0's all-(M-1) base makes its interference holder silent
+            bases = [(4,) * k] + [random_base_vector(rng, 5, k) for _ in layout.groups[1:]]
+            t = retrieve(theta, plan, layout, library, bases)
+            assert type(t.decoded_file) is bytes
+            assert t.decoded_file == library.file(theta)
+            payloads = [a.payload for g in t.groups for a in g.answers if not a.silent]
+            assert all(type(p) is bytes for p in payloads)
+            assert t.downloaded_symbols == sum(map(len, payloads))
+            assert any(a.silent for a in t.groups[0].answers)
 
     def test_argument_validation(self):
         layout, plan = plan_storage(greedy_alpha(2, 2), k=2, file_len=1)
