@@ -1,4 +1,4 @@
-"""Brute-force reference solvers for the group-support minimization problems.
+"""Exact reference solvers for the group-support minimization problems.
 
 Two questions are answered exactly on desk-scale instances:
 
@@ -8,11 +8,27 @@ Two questions are answered exactly on desk-scale instances:
 * the smallest number of groups when all fractions are forced equal
   (`min_eta_equal`).
 
-Both enumerate candidate supports outright and decide each candidate with
-an exact-rational feasibility kernel (unit propagation plus a phase-1
-simplex under Bland's rule), so the results are certificates, not
-estimates. Instances are hard-capped at N <= 8; the combinatorics explode
-beyond that and these solvers exist to certify bounds, not to scale.
+`min_eta_star` is the LP over group fractions of Attia-Kumar-Tandon
+(uncoded storage-constrained PIR) and Woolsey-Chen-Ji (storage-constrained
+PIR designs). Every candidate support is decided by an exact-rational
+feasibility kernel (unit propagation plus a phase-1 simplex under Bland's
+rule), so the results are certificates, not estimates. The candidates are
+a canonical family that meets every relabeling orbit of supports; that is
+sound because of two symmetries of the per-server equalities
+sum_{s ∋ i} alpha_s = M/N:
+
+* Relabeling. Permuting server labels maps feasible supports to feasible
+  supports, so every feasible support has an image that contains [M] and,
+  with j the largest overlap of another group with [M], also
+  {1..j} ∪ {M+1..2M-j}; see `_canonical_supports`.
+* Complement. Summing the equalities over all servers gives sum alpha = 1,
+  so replacing every group by its complement turns server i's load into
+  1 - M/N = (N-M)/N with alpha unchanged: (N, M) and (N, N-M) have the same
+  feasible supports up to complement, the duality `sda.opposite` uses.
+  Instances with 2M > N are searched on the smaller side.
+
+Instances are hard-capped at N <= 8; the combinatorics explode beyond that
+and these solvers exist to certify bounds, not to scale.
 """
 
 from dataclasses import dataclass
@@ -200,34 +216,69 @@ def _check_scale(n: int, m: int, cap: int) -> None:
         raise ValueError(f"support cap {cap} exceeds {MAX_CAP}")
 
 
-def min_eta_star(n: int, m: int, cap: int = MAX_CAP, prune_symmetry: bool = False):
+def _canonical_supports(n: int, m: int, size: int):
+    """Size-`size` supports of M-subsets of 1..N, one or more per relabeling
+    orbit of supports that cover every server.
+
+    For M < N any support of size >= 2 can be relabeled so that it holds
+    [M] and, with j the largest overlap any other group has with [M], the
+    group {1..j} ∪ {M+1..2M-j}: permute inside [M] and inside its
+    complement, which keeps every overlap with [M]. So j runs from M-1 down
+    to max(0, 2M-N), and the other `size` - 2 groups are drawn only from
+    groups meeting [M] in at most j servers. Supports missing a server are
+    skipped, since unit propagation rejects them anyway.
+    """
+    universe = list(combinations(range(1, n + 1), m))
+    if m == n:
+        if size == 1:
+            yield universe
+        return
+    first = universe[0]
+    full = (1 << n) - 1
+    mask = {s: sum(1 << (i - 1) for i in s) for s in universe}
+    for j in range(m - 1, max(0, 2 * m - n) - 1, -1):
+        second = tuple(range(1, j + 1)) + tuple(range(m + 1, 2 * m - j + 1))
+        pool = [s for s in universe if s != second and sum(i <= m for i in s) <= j]
+        base = mask[first] | mask[second]
+        for rest in combinations(pool, size - 2):
+            covered = base
+            for s in rest:
+                covered |= mask[s]
+            if covered == full:
+                yield [first, second, *rest]
+
+
+def min_eta_star(n: int, m: int, cap: int = MAX_CAP):
     """Smallest feasible support size, with a strictly positive witness.
 
-    Searches sizes upward from the combinatorial lower bound, enumerating
-    every size-k set of M-subsets. With prune_symmetry the enumeration
-    fixes {1..M} as the lexicographically smallest group, which is sound
-    because feasibility is invariant under relabeling servers.
+    Searches sizes upward from the combinatorial lower bound over the
+    canonical supports of `_canonical_supports`; a witness on a strict
+    sub-support would have been found at a smaller size, so the witness has
+    exactly eta* positive groups. When 2M > N and N-M >= 2 the search runs
+    on (N, N-M) and every witness group is complemented: server i's load
+    becomes 1 - (N-M)/N = M/N with the fractions unchanged.
     """
     _check_scale(n, m, cap)
-    mu = Fraction(m, n)
-    universe = list(combinations(range(1, n + 1), m))
+    dual = 2 * m > n and n - m >= 2
+    side = n - m if dual else m
+    mu = Fraction(side, n)
     tried = 0
     for size in range(eta_lower_bound(n, m), cap + 1):
-        if prune_symmetry and size >= 1:
-            candidates = (
-                (universe[0],) + rest for rest in combinations(universe[1:], size - 1)
-            )
-        else:
-            candidates = combinations(universe, size)
-        for candidate in candidates:
+        for candidate in _canonical_supports(n, side, size):
             tried += 1
-            solution = _solve_support(list(candidate), n, mu)
+            solution = _solve_support(candidate, n, mu)
             if solution is not None:
                 witness = {s: v for s, v in zip(candidate, solution) if v > 0}
-                return size, witness
+                return size, (_complement(witness, n) if dual else witness)
     raise OracleBudgetError(
         f"no feasible support of size <= {cap} for N={n}, M={m} ({tried} candidates tried)"
     )
+
+
+def _complement(witness: dict[Subset, Fraction], n: int) -> dict[Subset, Fraction]:
+    """The same fractions on the complementary groups."""
+    servers = range(1, n + 1)
+    return {tuple(i for i in servers if i not in s): v for s, v in witness.items()}
 
 
 def min_eta_equal(n: int, m: int, cap: int = MAX_CAP):

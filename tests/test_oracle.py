@@ -6,9 +6,20 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpir import sda
 from scpir.oracle import OracleBudgetError, lp_feasible, min_eta_equal, min_eta_star
+
+
+def reference_eta_star(n, m):
+    """Unpruned search: every support of every size, each decided by
+    lp_feasible; the smallest feasible size."""
+    universe = list(combinations(range(1, n + 1), m))
+    for size in range(1, len(universe) + 1):
+        if any(lp_feasible(c, n, m).feasible for c in combinations(universe, size)):
+            return size
 
 
 class TestLpFeasible:
@@ -50,6 +61,29 @@ class TestLpFeasible:
                 extra = rng.choice([s for s in universe if s not in support])
                 assert lp_feasible(support + [extra], 6, 3).feasible
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_invariant_under_relabeling_and_complement(self, data):
+        # the two symmetries min_eta_star's canonical search rests on
+        n = data.draw(st.integers(2, 7), label="n")
+        m = data.draw(st.integers(2, n), label="m")
+        universe = list(combinations(range(1, n + 1), m))
+        groups = st.lists(st.sampled_from(universe), min_size=1, max_size=8, unique=True)
+        support = data.draw(groups, label="support")
+        perm = data.draw(st.permutations(range(1, n + 1)), label="perm")
+
+        def flip(s):
+            return tuple(i for i in range(1, n + 1) if i not in s)
+
+        result = lp_feasible(support, n, m)
+        relabeled = lp_feasible([[perm[i - 1] for i in s] for s in support], n, m)
+        assert relabeled.feasible == result.feasible
+        if n - m >= 2:
+            assert lp_feasible([flip(s) for s in support], n, n - m).feasible == result.feasible
+            if result.feasible:
+                flipped = {flip(s): v for s, v in result.witness.items()}
+                sda.AlphaAssignment(n, n - m, flipped).check()
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             lp_feasible([], 4, 2)
@@ -74,10 +108,13 @@ class TestMinEtaStar:
     def test_full_replication(self):
         assert min_eta_star(6, 6)[0] == 1
 
-    def test_symmetry_pruning_agrees(self):
+    def test_matches_unpruned_reference(self):
         for n in range(2, 7):
             for m in range(2, n + 1):
-                assert min_eta_star(n, m)[0] == min_eta_star(n, m, prune_symmetry=True)[0]
+                eta, witness = min_eta_star(n, m)
+                assert eta == reference_eta_star(n, m), (n, m)
+                assert len(witness) == eta
+                sda.AlphaAssignment(n, m, dict(witness)).check()
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -90,6 +127,9 @@ class TestMinEtaStar:
     def test_cap_exceeded_reports(self):
         with pytest.raises(OracleBudgetError):
             min_eta_star(5, 2, cap=3)
+        # searched on the complement side, reported for the instance asked
+        with pytest.raises(OracleBudgetError, match="N=5, M=3"):
+            min_eta_star(5, 3, cap=3)
 
 
 class TestMinEtaEqual:
