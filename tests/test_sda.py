@@ -1,6 +1,7 @@
 """Storage design arrays: constructions against published layouts and the
 closed-form counts they must hit."""
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
@@ -376,3 +377,34 @@ class TestTextFormat:
         # well-formed text, wrong star counts
         with pytest.raises(ValueError):
             sda.parse_sda("3 2\n**.\n**.\n.**")
+
+
+def pinned_arrays():
+    """Every greedy, equal-size and improved array with 1 <= M <= N <= 40,
+    the opposite of each one with M < N, and the templates for 2 <= M < 20."""
+    for n in range(1, 41):
+        for m in range(1, n + 1):
+            arrays = [("greedy", sda.build_greedy(n, m)), ("equal", sda.build_equal_size(n, m))]
+            if sda.improved_family(n, m) is not None:
+                arrays.append(("improved", sda.build_improved(n, m)))
+            yield from arrays
+            if m < n:
+                for name, array in arrays:
+                    yield f"opposite-{name}", sda.opposite(array)
+    for m in range(2, 20):
+        yield "q", sda.build_q_array(m)
+
+
+# sha256 of every pinned array's text form, distinct columns and their
+# multiplicities: pins the layouts, the column order and the profile order.
+PINNED_LAYOUT_DIGEST = "b211512eaf010e90649ff3a871e6a2a79a47a20309ab362d865a3218e74ab5c9"
+
+
+def test_layouts_match_pinned_digest():
+    digest = hashlib.sha256()
+    for name, array in pinned_arrays():
+        profile = sda.column_profile(array)
+        digest.update(f"{name} {array.n} {array.m}\n".encode())
+        digest.update(sda.render_sda(array).encode())
+        digest.update(f"{profile.subsets!r} {profile.multiplicities!r}\n".encode())
+    assert digest.hexdigest() == PINNED_LAYOUT_DIGEST
