@@ -239,10 +239,10 @@ def storage_audit(plan: StoragePlan, layout: PacketLayout) -> AuditCheck:
     sits on exactly M servers, and every server's stored symbol count is
     exactly M*K*L/N."""
     problems = []
+    holders = Counter(gi for stored in plan.per_server.values() for gi in set(stored))
     for gi in range(len(layout.groups)):
-        holders = [s for s, stored in plan.per_server.items() if gi in stored]
-        if len(holders) != plan.m:
-            problems.append(f"group {gi} stored on {len(holders)} servers, expected {plan.m}")
+        if holders[gi] != plan.m:
+            problems.append(f"group {gi} stored on {holders[gi]} servers, expected {plan.m}")
     budget = Fraction(plan.m * plan.k * plan.file_len, plan.n)
     for server in range(1, plan.n + 1):
         used = Fraction(

@@ -1,7 +1,8 @@
 """Command-line surface: build arrays, simulate retrievals, audit, compare.
 
 Exit codes: 0 on success (and on an all-pass audit), 1 when an audit
-fails, 2 on usage or parameter errors.
+fails, 2 on usage or parameter errors and on output files that cannot be
+written.
 """
 
 import argparse
@@ -183,7 +184,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

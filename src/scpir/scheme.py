@@ -148,13 +148,14 @@ def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
         raise ValueError(f"group regions cover {offset} of {file_len} symbols")
     layout = PacketLayout(n, m, file_len, tuple(groups))
 
-    per_server = {
-        server: tuple(i for i, region in enumerate(groups) if server in region.servers)
-        for server in range(1, n + 1)
-    }
+    stored: dict[int, list[int]] = {server: [] for server in range(1, n + 1)}
+    for i, region in enumerate(groups):
+        for server in region.servers:
+            stored[server].append(i)
+    per_server = {server: tuple(held) for server, held in stored.items()}
     capacity = {
-        server: Fraction(k * sum(groups[i].group_bytes for i in stored))
-        for server, stored in per_server.items()
+        server: Fraction(k * sum(groups[i].group_bytes for i in held))
+        for server, held in per_server.items()
     }
     plan = StoragePlan(n, m, k, file_len, per_server, capacity)
     return layout, plan

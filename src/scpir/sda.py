@@ -1,43 +1,47 @@
 """Storage design arrays: construction, analysis, and serialization.
 
-An (N, M) storage design array is an N x (N/gcd(N,M)) star/blank grid in
-which every column carries exactly M stars and every row exactly
-M/gcd(N,M) stars. Each distinct column names a group of M servers that
+An (N, M) storage design array has N/gcd(N,M) columns, each a set of
+exactly M of the N servers, and puts every server in exactly
+M/gcd(N,M) columns. Each distinct column names a group of M servers that
 jointly store one slice of every file; the column multiplicities fix the
-slice sizes. Three constructions live here:
+slice sizes. An array is held as its column sequence; the N-row
+star/blank grid exists only in the text format. Three constructions live
+here:
 
 * an equal-size construction whose columns are cyclic server windows
   (all columns distinct),
-* a greedy recursive construction that repeats columns as much as
-  possible, and
+* a greedy construction that repeats columns as much as possible, and
 * an improved block construction for N = d*M +/- 1 built from a fixed
   (2M+1, M) template and its star/blank complement.
 
 Everything is pure and exact; alpha values are `fractions.Fraction`.
 """
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-Cells = tuple[tuple[bool, ...], ...]
+Columns = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class StorageDesignArray:
-    """An N x (N/gcd(N,M)) star pattern; cells[i][j] is True for a star."""
+    """An (N, M) array as its column sequence: column_sets[j] is the sorted
+    tuple of 1-based servers starred in column j."""
 
     n: int
     m: int
-    cells: Cells
+    column_sets: Columns
 
     @property
     def columns(self) -> int:
-        return self.n // gcd(self.n, self.m)
+        return len(self.column_sets)
 
     def column_set(self, j: int) -> tuple[int, ...]:
         """1-based server indices holding a star in column j (0-based j)."""
-        return tuple(i + 1 for i in range(self.n) if self.cells[i][j])
+        return self.column_sets[j]
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,10 @@ class AlphaAssignment:
 
     def check(self) -> None:
         """Raise ValueError if any invariant fails."""
-        mu = Fraction(self.m, self.n)
+        # exact integer arithmetic in units of 1/den of a file
+        den = lcm(*(value.denominator for value in self.entries.values()))
+        held = [0] * (self.n + 1)  # held[s]: server s's units of each file
+        total = 0
         for subset, value in self.entries.items():
             if len(set(subset)) != self.m:
                 raise ValueError(f"group {subset} does not have {self.m} distinct servers")
@@ -77,12 +84,18 @@ class AlphaAssignment:
                 raise ValueError(f"group {subset} has a server outside 1..{self.n}")
             if value <= 0:
                 raise ValueError(f"group {subset} has non-positive size {value}")
-        if sum(self.entries.values(), Fraction(0)) != 1:
+            units = value.numerator * (den // value.denominator)
+            total += units
+            for s in subset:
+                held[s] += units
+        if total != den:
             raise ValueError("group sizes do not sum to 1")
         for server in range(1, self.n + 1):
-            total = sum((v for s, v in self.entries.items() if server in s), Fraction(0))
-            if total != mu:
-                raise ValueError(f"server {server} holds {total} of each file, expected {mu}")
+            if held[server] * self.n != self.m * den:
+                raise ValueError(
+                    f"server {server} holds {Fraction(held[server], den)} of each file, "
+                    f"expected {Fraction(self.m, self.n)}"
+                )
 
 
 def _require_params(n: int, m: int) -> None:
@@ -93,22 +106,32 @@ def _require_params(n: int, m: int) -> None:
 def validate(sda: StorageDesignArray) -> str | None:
     """Check the column/row star counts; None if fine, else the first violation.
 
-    Raises ValueError when the grid is not N x (N/gcd(N,M)) to begin with.
+    Raises ValueError when the array does not have N/gcd(N,M) columns, each
+    a sorted tuple of distinct servers in 1..N, to begin with.
     """
     _require_params(sda.n, sda.m)
     g = gcd(sda.n, sda.m)
-    cols = sda.n // g
-    if len(sda.cells) != sda.n or any(len(row) != cols for row in sda.cells):
-        raise ValueError(f"grid is not {sda.n} x {cols}")
-    for j in range(cols):
-        stars = sum(1 for i in range(sda.n) if sda.cells[i][j])
-        if stars != sda.m:
-            return f"column {j + 1} has {stars} stars, expected {sda.m}"
+    if sda.columns != sda.n // g:
+        raise ValueError(f"array has {sda.columns} columns, expected {sda.n // g}")
+    # repeated columns share one check; the first bad one in first-occurrence
+    # order is also the first bad column in column order
+    counts = Counter(sda.column_sets)
+    stars = [0] * (sda.n + 1)
+    for column, count in counts.items():
+        canonical = list(column) == sorted(set(column))
+        # sorted and distinct, so its first and last servers bound the rest
+        if not canonical or column and not 1 <= column[0] <= column[-1] <= sda.n:
+            j = sda.column_sets.index(column) + 1
+            raise ValueError(f"column {j} is not a sorted tuple of distinct servers in 1..{sda.n}")
+        if len(column) != sda.m:
+            j = sda.column_sets.index(column) + 1
+            return f"column {j} has {len(column)} stars, expected {sda.m}"
+        for s in column:
+            stars[s] += count
     per_row = sda.m // g
-    for i in range(sda.n):
-        stars = sum(sda.cells[i])
-        if stars != per_row:
-            return f"row {i + 1} has {stars} stars, expected {per_row}"
+    for server in range(1, sda.n + 1):
+        if stars[server] != per_row:
+            return f"row {server} has {stars[server]} stars, expected {per_row}"
     return None
 
 
@@ -121,17 +144,8 @@ def _checked(sda: StorageDesignArray) -> StorageDesignArray:
 
 def column_profile(sda: StorageDesignArray) -> ColumnProfile:
     """Distinct columns (as 1-based server subsets) in first-occurrence order."""
-    _checked(sda)
-    subsets: list[tuple[int, ...]] = []
-    counts: list[int] = []
-    for j in range(sda.columns):
-        s = sda.column_set(j)
-        try:
-            counts[subsets.index(s)] += 1
-        except ValueError:
-            subsets.append(s)
-            counts.append(1)
-    return ColumnProfile(sda.n, sda.m, tuple(subsets), tuple(counts))
+    counts = Counter(_checked(sda).column_sets)
+    return ColumnProfile(sda.n, sda.m, tuple(counts), tuple(counts.values()))
 
 
 def alpha_from_profile(profile: ColumnProfile) -> AlphaAssignment:
@@ -151,65 +165,54 @@ def alpha_from_profile(profile: ColumnProfile) -> AlphaAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _empty(rows: int, cols: int) -> list[list[bool]]:
-    return [[False] * cols for _ in range(rows)]
-
-
-def _fill(grid: list[list[bool]], r0: int, c0: int, rows: int, cols: int) -> None:
-    for i in range(r0, r0 + rows):
-        for j in range(c0, c0 + cols):
-            grid[i][j] = True
-
-
-def _paste(grid: list[list[bool]], r0: int, c0: int, block: list[list[bool]]) -> None:
-    for i, row in enumerate(block):
-        for j, cell in enumerate(row):
-            if cell:
-                grid[r0 + i][c0 + j] = True
-
-
-def _freeze(n: int, m: int, grid: list[list[bool]]) -> StorageDesignArray:
-    return _checked(StorageDesignArray(n, m, tuple(tuple(row) for row in grid)))
+def _freeze(n: int, m: int, columns) -> StorageDesignArray:
+    return _checked(StorageDesignArray(n, m, tuple(columns)))
 
 
 def build_equal_size(n: int, m: int) -> StorageDesignArray:
     """Array whose column j stars the cyclic window of M servers starting
     at (j-1)*M mod N; all N/gcd(N,M) columns are distinct."""
     _require_params(n, m)
-    cols = n // gcd(n, m)
-    grid = _empty(n, cols)
-    for j in range(cols):
-        for offset in range(m):
-            grid[(j * m + offset) % n][j] = True
-    return _freeze(n, m, grid)
-
-
-def _greedy_coprime(n: int, m: int) -> list[list[bool]]:
-    # n x n grid for gcd(n, m) == 1
-    if n == 1:
-        return [[True]]
-    grid = _empty(n, n)
-    if n >= 2 * m:
-        _fill(grid, 0, 0, m, m)
-        _paste(grid, m, m, _greedy_coprime(n - m, m))
-    else:
-        _fill(grid, 0, 0, m, n - m)
-        _paste(grid, 0, n - m, _greedy_coprime(m, 2 * m - n))
-        _fill(grid, m, n - m, n - m, m)
-    return grid
+    return _freeze(
+        n, m, (tuple(sorted((j * m + i) % n + 1 for i in range(m))) for j in range(n // gcd(n, m)))
+    )
 
 
 def build_greedy(n: int, m: int) -> StorageDesignArray:
-    """Greedy recursive array: repeat each column as often as the row
-    constraint allows, then recurse on the uncovered corner.
+    """Greedy array: repeat each column as often as the row constraint
+    allows, then continue on the uncovered corner.
 
+    For coprime (n, m) with n >= 2m, the first m columns star servers 1..m
+    and the (n-m, m) array follows on servers m+1..n. For m < n < 2m, the
+    first n-m columns star servers 1..m and the (m, 2m-n) array follows on
+    servers 1..m, with servers m+1..n added to each of its columns. These
+    are the (n, m) steps `eta_recursion` counts, one distinct column each.
     When gcd(N,M) = g > 1 the (N/g, M/g) array is stacked g times.
     """
     _require_params(n, m)
     g = gcd(n, m)
-    base = _greedy_coprime(n // g, m // g)
-    grid = [row[:] for _ in range(g) for row in base]
-    return _freeze(n, m, grid)
+    block = n // g
+
+    def stacked(column):  # one copy on each of the g blocks of servers
+        return tuple(s + r * block for r in range(g) for s in column)
+
+    a, b = block, m // g
+
+    # the corner left to fill is the (a, b) array on servers shift+1..shift+a,
+    # with the servers in tail added to each of its columns
+    columns = []
+    shift, tail = 0, ()
+    while a > 1:
+        column = stacked(tuple(range(shift + 1, shift + b + 1)) + tail)
+        if a >= 2 * b:
+            columns += [column] * b
+            shift, a = shift + b, a - b
+        else:
+            columns += [column] * (a - b)
+            tail = tuple(range(shift + b + 1, shift + a + 1)) + tail
+            a, b = b, 2 * b - a
+    columns.append(stacked((shift + 1,) + tail))
+    return _freeze(n, m, columns)
 
 
 def eta_recursion(n: int, m: int) -> int:
@@ -231,50 +234,28 @@ def eta_recursion(n: int, m: int) -> int:
 def build_q_array(m: int) -> StorageDesignArray:
     """The fixed (2M+1, M) template with ceil(M/2)+3 distinct columns.
 
-    Layout (0-based), for even M:
-      rows 0..M-1,   cols 0..M-2      all stars
-      rows 0..M-1,   last 2 cols      M/2 stacked 2x2 diagonal blocks
-      rows M..M+M/2, cols M-1..2M-2   all stars
-      last M/2 rows, cols M-1..2M-2   two square blocks starred everywhere
-                                      except the diagonal
-      last M/2 rows, last 2 cols      all stars
-    Odd M is analogous with 3x3 diagonal blocks (running into the middle
-    band), an (M+3)/2-row middle band of width M-1, and (M-1)/2-sized
-    off-diagonal blocks.
+    With h = floor(M/2), D = 2 (even M) or 3 (odd M) and N = 2M+1, the
+    columns are, in order:
+      M-1 columns      servers 1..M
+      2h columns       the band M+1..N-h plus every bottom server
+                       N-h+1..N but the t-th, for t = 1..h, twice over
+      D columns        column c takes servers c, c+D, ... up to
+                       D*ceil(M/2), plus every bottom server
+    In the grid, the last D columns are ceil(M/2) stacked DxD diagonal
+    blocks over the top rows, and the bottom h rows of the band columns
+    are two square blocks starred everywhere except the diagonal.
     """
     if m < 2:
         raise ValueError(f"need M >= 2, got M={m}")
     n = 2 * m + 1
-    grid = _empty(n, n)
-    if m % 2 == 0:
-        half = m // 2
-        _fill(grid, 0, 0, m, m - 1)
-        for i in range(m):  # half stacked 2x2 diagonal blocks
-            grid[i][2 * m - 1 + (i % 2)] = True
-        _fill(grid, m, m - 1, half + 1, m)
-        for t in range(half):  # two blocks of all-but-diagonal stars
-            row = m + half + 1 + t
-            for j in range(half):
-                if j != t:
-                    grid[row][m - 1 + j] = True
-                    grid[row][m - 1 + half + j] = True
-            grid[row][2 * m - 1] = True
-            grid[row][2 * m] = True
-    else:
-        half = (m - 1) // 2
-        _fill(grid, 0, 0, m, m - 1)
-        for i in range(3 * (m + 1) // 2):  # (m+1)/2 stacked 3x3 diagonal blocks
-            grid[i][2 * m - 2 + (i % 3)] = True
-        _fill(grid, m, m - 1, (m + 3) // 2, m - 1)
-        for t in range(half):
-            row = (3 * m + 3) // 2 + t
-            for j in range(half):
-                if j != t:
-                    grid[row][m - 1 + j] = True
-                    grid[row][m - 1 + half + j] = True
-            for j in range(3):
-                grid[row][2 * m - 2 + j] = True
-    return _freeze(n, m, grid)
+    half, spread = m // 2, 2 + m % 2
+    band = tuple(range(m + 1, n - half + 1))
+    bottom = tuple(range(n - half + 1, n + 1))
+    columns = [tuple(range(1, m + 1))] * (m - 1)
+    columns += [band + bottom[:t] + bottom[t + 1 :] for t in range(half)] * 2
+    top = spread * (m - half)
+    columns += [tuple(range(c, top + 1, spread)) + bottom for c in range(1, spread + 1)]
+    return _freeze(n, m, columns)
 
 
 def opposite(sda: StorageDesignArray) -> StorageDesignArray:
@@ -283,8 +264,10 @@ def opposite(sda: StorageDesignArray) -> StorageDesignArray:
     _checked(sda)
     if sda.m == sda.n:
         raise ValueError("opposite of a full-replication array has empty columns")
-    flipped = tuple(tuple(not cell for cell in row) for row in sda.cells)
-    return _checked(StorageDesignArray(sda.n, sda.n - sda.m, flipped))
+    servers = frozenset(range(1, sda.n + 1))
+    return _freeze(
+        sda.n, sda.n - sda.m, (tuple(sorted(servers.difference(c))) for c in sda.column_sets)
+    )
 
 
 def improved_family(n: int, m: int) -> tuple[int, bool, int] | None:
@@ -314,12 +297,12 @@ def build_improved(n: int, m: int) -> StorageDesignArray:
         raise ValueError(f"N={n} is not d*{m}+1 or d*{m}-1 for any d >= 2")
     d, plus, _ = family
     tail = build_q_array(m) if plus else opposite(build_q_array(m - 1))
-    grid = _empty(n, n)
+    columns = []
     for block in range(d - 2):
-        _fill(grid, block * m, block * m, m, m)
+        columns += [tuple(range(block * m + 1, block * m + m + 1))] * m
     offset = (d - 2) * m
-    _paste(grid, offset, offset, [list(row) for row in tail.cells])
-    return _freeze(n, m, grid)
+    columns += [tuple(s + offset for s in column) for column in tail.column_sets]
+    return _freeze(n, m, columns)
 
 
 def eta_lower_bound(n: int, m: int) -> int:
@@ -338,8 +321,11 @@ def eta_lower_bound(n: int, m: int) -> int:
 
 def render_sda(sda: StorageDesignArray) -> str:
     """Serialize as a header line "N M" plus one '*'/'.' line per server."""
-    rows = ["".join("*" if cell else "." for cell in row) for row in sda.cells]
-    return "\n".join([f"{sda.n} {sda.m}"] + rows) + "\n"
+    rows = [bytearray(b"." * sda.columns) for _ in range(sda.n)]
+    for j, column in enumerate(sda.column_sets):
+        for s in column:
+            rows[s - 1][j] = ord("*")
+    return "\n".join([f"{sda.n} {sda.m}"] + [row.decode() for row in rows]) + "\n"
 
 
 def parse_sda(text: str) -> StorageDesignArray:
@@ -359,11 +345,12 @@ def parse_sda(text: str) -> StorageDesignArray:
     if len(body) != n:
         raise ValueError(f"expected {n} rows, got {len(body)}")
     cols = n // gcd(n, m)
-    cells = []
-    for i, line in enumerate(body):
+    columns = [[] for _ in range(cols)]
+    for server, line in enumerate(body, 1):
         if len(line) != cols:
-            raise ValueError(f"row {i + 1} has {len(line)} cells, expected {cols}")
+            raise ValueError(f"row {server} has {len(line)} entries, expected {cols}")
         if set(line) - {"*", "."}:
-            raise ValueError(f"row {i + 1} contains characters other than '*' and '.'")
-        cells.append(tuple(ch == "*" for ch in line))
-    return _checked(StorageDesignArray(n, m, tuple(cells)))
+            raise ValueError(f"row {server} contains characters other than '*' and '.'")
+        for star in re.finditer(r"\*", line):
+            columns[star.start()].append(server)
+    return _freeze(n, m, map(tuple, columns))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scpir import sda
@@ -146,6 +146,34 @@ class TestStorageAudit:
         check = storage_audit(bad, layout)
         assert not check.passed
         assert "symbols" in check.detail
+
+
+@st.composite
+def large_greedy_instances(draw):
+    """Greedy (N, M) with 2 <= M <= N <= 10^4 and eta*M <= 10^6, K <= 3."""
+    n = draw(st.integers(2, 10**4))
+    m = draw(st.integers(2, n))
+    assume(sda.eta_recursion(n, m) * m <= 10**6)
+    return n, m, draw(st.integers(1, 3))
+
+
+@settings(max_examples=8, deadline=None)
+@given(large_greedy_instances())
+@example((10**4, 2, 3))
+@example((9973, 1000, 2))
+def test_greedy_plans_exact_to_10k(instance):
+    n, m, k = instance
+    array = sda.build_greedy(n, m)
+    assert sda.validate(array) is None
+    profile = sda.column_profile(array)
+    assert profile.eta == sda.eta_recursion(n, m)
+    alpha = sda.alpha_from_profile(profile)
+    alpha.check()
+    file_len = minimal_length(n, m)
+    layout, plan = plan_storage(alpha, k, file_len)
+    budget = Fraction(m * k * file_len, n)
+    assert plan.capacity_used == {server: budget for server in range(1, n + 1)}
+    assert storage_audit(plan, layout).passed
 
 
 class TestConditionsAudit:

@@ -39,6 +39,13 @@ class TestBuild:
         text = stdout.rsplit("eta=", 1)[0]
         assert sda.column_profile(sda.parse_sda(text)).eta == 6
 
+    def test_3000_2_builds_and_reparses(self, capsys, tmp_path):
+        out = tmp_path / "array.txt"
+        code, stdout, _ = run(capsys, "build", "--n", "3000", "--m", "2", "--out", str(out))
+        assert code == 0
+        assert stdout.strip() == "eta=1500 F=1500"
+        assert sda.column_profile(sda.parse_sda(out.read_text())).eta == 1500
+
 
 class TestSimulate:
     def test_small_instance(self, capsys):
@@ -111,6 +118,21 @@ class TestAnalyze:
         assert code == 0
         # pairs with 2 <= m <= n <= 5: 1 + 2 + 3 + 4
         assert len(stdout.strip().splitlines()) == 1 + 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--n", "5", "--m", "2"],
+        ["simulate", "--n", "5", "--m", "2", "--k", "2", "--theta", "1"],
+    ],
+)
+def test_unwritable_out_exits_two(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "x.txt"
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and str(out) in stderr
 
 
 def test_usage_error_exits_two(capsys):

@@ -104,7 +104,7 @@ class TestValidate:
         assert sda.validate(array) is None
 
     def test_column_violation_reported_first(self):
-        identity = tuple(tuple(i == j for j in range(3)) for i in range(3))
+        identity = ((1,), (2,), (3,))
         bad = sda.StorageDesignArray(3, 2, identity)
         assert sda.validate(bad) == "column 1 has 1 stars, expected 2"
 
@@ -115,15 +115,11 @@ class TestValidate:
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            sda.validate(sda.StorageDesignArray(3, 2, ((True, True),) * 2))
+            sda.validate(sda.StorageDesignArray(3, 2, ((1, 2),) * 2))
 
     def test_row_violation(self):
-        cells = (
-            (True, False, False),
-            (True, True, True),
-            (False, True, True),
-        )
-        assert sda.validate(sda.StorageDesignArray(3, 2, cells)).startswith("row")
+        columns = ((1, 2), (2, 3), (2, 3))
+        assert sda.validate(sda.StorageDesignArray(3, 2, columns)).startswith("row")
 
 
 class TestColumnProfile:
