@@ -11,7 +11,13 @@ independent base vectors, `answer` is a deterministic function of (query,
 stored packets), and the query builder never sees the group. So a
 server's view is decided by one (M, K) round's query multiset, a group's
 download by its count of non-silent answers, and a retrieval by its
-per-group decodes, since regions concatenate.
+per-group decodes, since regions concatenate. The protocol is also
+linear: every answer and every decoded packet is an XOR of stored packets
+with 0/1 coefficients fixed by (theta, base) alone. On the one-hot basis,
+where packet i of file f+1 is the single bit f*(M-1)+i, an answer's
+payload is its coefficient row, and a round that decodes the basis
+decodes every group of every library. Every round-level audit walks the
+same K*M^K (theta, base) rounds, refused up front when over budget.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -22,15 +28,16 @@ checks fail.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from operator import itemgetter
 
-from . import sda
+from . import sda, sfpir
 from .scheme import (
     FileLibrary,
     PacketLayout,
     StoragePlan,
     average_download,
-    group_storage,
     minimal_length,
     plan_storage,
     random_library,
@@ -61,9 +68,6 @@ class AuditReport:
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
-
     def table(self) -> str:
         rows = [("check", "status", "measured", "expected", "property")]
         for c in self.checks:
@@ -87,12 +91,7 @@ def queries_missing_offset(theta: int, base: tuple[int, ...], m: int) -> list[tu
     """Faulty builder: the wanted coordinate is the bare server index, so
     the uniform masking offset never enters and servers can tell which
     coordinate was overwritten."""
-    queries = []
-    for server in range(m):
-        vec = list(base)
-        vec[theta - 1] = server
-        queries.append(tuple(vec))
-    return queries
+    return [base[: theta - 1] + (server,) + base[theta:] for server in range(m)]
 
 
 def queries_duplicate_shift(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
@@ -107,9 +106,32 @@ def queries_duplicate_shift(theta: int, base: tuple[int, ...], m: int) -> list[t
 # ---------------------------------------------------------------------------
 
 
+def _rounds(m: int, k: int, query_fn=make_queries):
+    """Yield (theta, base, queries) for every wanted file and base vector
+    of one (M, K) group. The walk's bill is K*M^(K+1) answered queries;
+    over MAX_REALIZATIONS it raises ValueError before the first round."""
+    bill = k * m ** (k + 1)
+    if bill > sfpir.MAX_REALIZATIONS:
+        raise ValueError(
+            f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {bill} queries, "
+            f"over the budget of {sfpir.MAX_REALIZATIONS}"
+        )
+    for theta in range(1, k + 1):
+        for base in enumerate_realizations(m, k):
+            yield theta, base, query_fn(theta, base, m)
+
+
+def _basis(m: int, k: int) -> sfpir.GroupStorage:
+    """One group's storage in which packet i of file f+1 is the single bit
+    f*(M-1)+i, so an answer's payload is its coefficient row."""
+    width = m - 1
+    bits = [(1 << b).to_bytes((k * width + 7) // 8, "little") for b in range(k * width)]
+    return sfpir.GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
+
+
 def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_queries) -> AuditCheck:
-    """Per server position and per pair of wanted files, the multiset of
-    received queries over all M^K base vectors must coincide.
+    """Per server position, the multiset of received queries over all M^K
+    base vectors must be the same for every wanted file as for file 1.
 
     This is the server's whole view: its answer is a function of the
     query and its storage alone, so equal query multisets give equal
@@ -117,34 +139,23 @@ def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_quer
     one (M, K) round covers every group, and a server in several groups
     sees independent rounds, so its joint view is identical too.
     """
-    k = library.k_files
-    m = layout.m
-    views = []
-    for theta in range(1, k + 1):
-        per_server = [Counter() for _ in range(m)]
-        for base in enumerate_realizations(m, k):
-            for pos, query in enumerate(query_fn(theta, base, m)):
-                per_server[pos][query] += 1
-        views.append(per_server)
-    mismatches = 0
-    first = ""
-    for pos in range(m):
-        for a in range(k):
-            for b in range(a + 1, k):
-                if views[a][pos] != views[b][pos]:
-                    mismatches += 1
-                    if not first:
-                        first = (
-                            f"the server at position {pos} of every group can separate "
-                            f"requests for file {a + 1} and file {b + 1}"
-                        )
+    mismatches = []  # (position, file) whose view differs from file 1's
+    reference = None  # only file 1's views and the current file's are held
+    for theta, rounds in groupby(_rounds(layout.m, library.k_files, query_fn), itemgetter(0)):
+        views = [Counter() for _ in range(layout.m)]
+        for _, _, queries in rounds:
+            for view, query in zip(views, queries):
+                view[query] += 1
+        reference = reference or views
+        mismatches += [(pos, theta) for pos in range(layout.m) if views[pos] != reference[pos]]
+    detail = "the server at position {} of every group can separate requests for file 1 and file {}"
     return AuditCheck(
         name="privacy",
-        passed=mismatches == 0,
-        measured=mismatches,
+        passed=not mismatches,
+        measured=len(mismatches),
         expected=0,
         tag="query-answer-indistinguishability",
-        detail=first,
+        detail=detail.format(*mismatches[0]) if mismatches else "",
     )
 
 
@@ -153,44 +164,45 @@ def correctness_audit(
 ) -> AuditCheck:
     """Every wanted file decodes exactly, for every realization.
 
-    Groups run independent rounds and their decoded regions concatenate,
-    so each group is enumerated on its own: every (file, group, base)
-    round is decoded and compared with its region. One full retrieval per
-    file then checks the assembly. `tamper(group, server_pos, answer)`
-    lets tests corrupt an answer.
+    Every decoded packet is an XOR of stored packets with 0/1
+    coefficients fixed by (theta, base), and on the one-hot basis each
+    stored packet is its own bit. So every (theta, base) round is decoded
+    once on the basis: returning theta's basis packets proves that round
+    exact for every group and every library. Real bytes then check the
+    slicing: the assembled retrieval of each file at base (0,)*K, with
+    each of its group rounds decoded again after `tamper(group,
+    server_pos, answer)`, which lets tests corrupt an answer.
     """
-    k = plan.k
-    m = layout.m
-    storages = [group_storage(layout, gi, library) for gi in range(len(layout.groups))]
     failures = 0
-    runs = 0
     first = ""
 
-    def note(theta, where):
+    def check(theta, base, answers, want, where):
         nonlocal failures, first
+        try:
+            if b"".join(decode(theta, base, answers)) == want:
+                return
+        except ProtocolViolation:
+            where += " (protocol violation)"
         failures += 1
-        if not first:
-            first = f"file {theta} mis-decoded at {where}"
+        first = first or f"file {theta} mis-decoded at {where}"
 
-    for theta in range(1, k + 1):
-        for gi, (region, storage) in enumerate(zip(layout.groups, storages)):
+    basis = _basis(layout.m, plan.k)
+    for theta, base, queries in _rounds(layout.m, plan.k):
+        answers = [answer(q, basis) for q in queries]
+        check(theta, base, answers, b"".join(basis.packets[theta - 1]), f"base {base}")
+    zero = (0,) * plan.k
+    for theta in range(1, plan.k + 1):
+        t = retrieve(theta, plan, layout, library, [zero] * len(layout.groups))
+        for g, region in zip(t.groups, layout.groups):
+            answers = list(g.answers)
+            if tamper is not None:
+                answers = [tamper(g.group, pos, a) for pos, a in enumerate(answers)]
             want = library.file(theta)[region.file_offset : region.file_offset + region.group_bytes]
-            for base in enumerate_realizations(m, k):
-                runs += 1
-                answers = [answer(q, storage) for q in make_queries(theta, base, m)]
-                if tamper is not None:
-                    answers = [tamper(gi, pos, a) for pos, a in enumerate(answers)]
-                try:
-                    segment = b"".join(decode(theta, base, answers))
-                except ProtocolViolation:
-                    note(theta, f"group {gi} base {base} (protocol violation)")
-                    continue
-                if segment != want:
-                    note(theta, f"group {gi} base {base}")
-        t = retrieve(theta, plan, layout, library, [(0,) * k] * len(layout.groups))
-        runs += 1
+            check(theta, zero, answers, want, f"group {g.group} base {zero}")
         if t.decoded_file != library.file(theta):
-            note(theta, "assembled retrieval")
+            failures += 1
+            first = first or f"file {theta} mis-decoded at assembled retrieval"
+    runs = plan.k * (layout.m**plan.k + len(layout.groups) + 1)  # basis, group and file decodes
     return AuditCheck(
         name="correctness",
         passed=failures == 0,
@@ -208,21 +220,17 @@ def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
     Whether a server stays silent depends on its query alone, and every
     other answer carries one packet of its group, so a group's download
     is its packet size times the non-silent answers of one (M, K) round.
-    That count is taken once per file, on one group's storage.
+    That count is taken once per file, on the one-hot basis.
     """
     k = library.k_files
     m = layout.m
     expected = average_download(layout, k)
-    storage = group_storage(layout, 0, library)
+    basis = _basis(m, k)
+    sent = Counter(
+        theta for theta, _, queries in _rounds(m, k) for q in queries if not answer(q, basis).silent
+    )
     packet_bytes = sum(region.packet_bytes for region in layout.groups)
-    measured = []
-    for theta in range(1, k + 1):
-        sent = sum(
-            not answer(query, storage).silent
-            for base in enumerate_realizations(m, k)
-            for query in make_queries(theta, base, m)
-        )
-        measured.append(Fraction(packet_bytes * sent, m**k))
+    measured = [Fraction(packet_bytes * sent[theta], m**k) for theta in range(1, k + 1)]
     passed = all(v == expected for v in measured)
     return AuditCheck(
         name="rate",
@@ -285,13 +293,15 @@ def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
       unwanted file;
     * the residual rows (all files except the wanted one and any one other
       file) are identical across all transmitted answers.
+
+    The rows are the answers themselves, taken on the one-hot basis.
     """
     width = m - 1  # coefficient bits per file; the virtual packet has none
+    basis = _basis(m, k)
     violations = 0
     first = ""
 
-    def block(file_index: int) -> int:
-        return ((1 << width) - 1) << ((file_index - 1) * width)
+    blocks = [((1 << width) - 1) << (f * width) for f in range(k)]  # bits of file f+1
 
     def note(kind, theta, base):
         nonlocal violations, first
@@ -299,30 +309,22 @@ def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
         if not first:
             first = f"{kind} violated for file {theta}, base {base}"
 
-    for theta in range(1, k + 1):
-        for base in enumerate_realizations(m, k):
-            rows = []
-            for query in query_fn(theta, base, m):
-                if all(q == m - 1 for q in query):
-                    continue  # silent server transmits nothing
-                row = 0
-                for fi, q in enumerate(query):
-                    if q != m - 1:
-                        row |= 1 << (fi * width + q)
-                rows.append(row)
-            wanted = [r & block(theta) for r in rows]
-            if not _gf2_independent([r for r in wanted if r]):
-                note("retrieved-independence", theta, base)
-            for other in range(1, k + 1):
-                if other == theta:
-                    continue
-                kept = [r & ~block(other) for r in rows]
-                if not _gf2_independent([r for r in kept if r]):
-                    note("requested-independence", theta, base)
-                residual_mask = ~(block(theta) | block(other))
-                residuals = {r & residual_mask for r in rows}
-                if len(residuals) > 1:
-                    note("residual-identity", theta, base)
+    for theta, base, queries in _rounds(m, k, query_fn):
+        replies = (answer(q, basis) for q in queries)
+        rows = [int.from_bytes(a.payload, "little") for a in replies if not a.silent]
+        wanted = [r & blocks[theta - 1] for r in rows]
+        if not _gf2_independent([r for r in wanted if r]):
+            note("retrieved-independence", theta, base)
+        for other in range(1, k + 1):
+            if other == theta:
+                continue
+            kept = [r & ~blocks[other - 1] for r in rows]
+            if not _gf2_independent([r for r in kept if r]):
+                note("requested-independence", theta, base)
+            residual_mask = ~(blocks[theta - 1] | blocks[other - 1])
+            residuals = {r & residual_mask for r in rows}
+            if len(residuals) > 1:
+                note("residual-identity", theta, base)
     return AuditCheck(
         name="conditions",
         passed=violations == 0,
@@ -405,23 +407,19 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
     return checks
 
 
-def run_full_audit(n: int, m: int, k: int, seed: int = 0, l_multiplier: int = 1) -> AuditReport:
+def run_full_audit(n: int, m: int, k: int, seed: int = 0) -> AuditReport:
     """Build the greedy scheme for (N, M, K) and run every audit on it."""
-    if m < 2:
-        raise ValueError("retrieval needs M >= 2; M=1 forces downloading everything")
     alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(n, m)))
-    file_len = l_multiplier * minimal_length(n, m)
+    file_len = minimal_length(n, m)
     library = random_library(k, file_len, seed)
     layout, plan = plan_storage(alpha, k, file_len)
-    report = AuditReport()
-    report.extend(
+    return AuditReport(
         [
             storage_audit(plan, layout),
             privacy_audit(layout, library),
             correctness_audit(plan, layout, library),
             rate_audit(layout, library),
             conditions_audit(m, k),
+            *subpacketization_audit(n, m),
         ]
     )
-    report.extend(subpacketization_audit(n, m))
-    return report

@@ -70,7 +70,7 @@ class StoragePlan:
     k: int
     file_len: int
     per_server: dict[int, tuple[int, ...]]
-    capacity_used: dict[int, Fraction]
+    capacity_used: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
     alpha.check()
     n, m = alpha.n, alpha.m
     if m < 2:
-        raise ValueError("retrieval needs M >= 2; M=1 forces downloading everything")
+        raise ValueError("M=1 retrieval is out of scope: the user would download every file")
     if k < 1:
         raise ValueError(f"need at least one file, got K={k}")
     base = minimal_length(n, m)
@@ -124,41 +124,34 @@ def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
     groups = []
     offset = 0
     for servers, fraction in alpha.entries.items():
-        group_bytes = fraction * file_len
-        if group_bytes.denominator != 1:
-            raise ValueError(f"group {servers} gets a fractional region of {group_bytes}")
-        group_bytes = int(group_bytes)
-        if group_bytes % (m - 1):
-            raise ValueError(f"group {servers} region of {group_bytes} does not split {m - 1} ways")
-        multiplicity = fraction * n / g
-        if multiplicity.denominator != 1:
+        # a region of multiplicity * gcd(N,M)/N of the file splits into M-1
+        # packets of multiplicity * file_len/base symbols each
+        multiplicity, rest = divmod(fraction.numerator * n, fraction.denominator * g)
+        if rest:
             raise ValueError(f"group {servers} fraction {fraction} is not a multiple of {g}/{n}")
-        multiplicity = int(multiplicity)
+        packet_bytes = multiplicity * (file_len // base)
         groups.append(
             GroupRegion(
                 servers=tuple(sorted(servers)),
                 multiplicity=multiplicity,
-                group_bytes=group_bytes,
-                packet_bytes=group_bytes // (m - 1),
+                group_bytes=packet_bytes * (m - 1),
+                packet_bytes=packet_bytes,
                 file_offset=offset,
             )
         )
-        offset += group_bytes
+        offset += packet_bytes * (m - 1)
     if offset != file_len:
         raise ValueError(f"group regions cover {offset} of {file_len} symbols")
     layout = PacketLayout(n, m, file_len, tuple(groups))
 
     stored: dict[int, list[int]] = {server: [] for server in range(1, n + 1)}
+    capacity = dict.fromkeys(stored, 0)
     for i, region in enumerate(groups):
         for server in region.servers:
             stored[server].append(i)
+            capacity[server] += k * region.group_bytes
     per_server = {server: tuple(held) for server, held in stored.items()}
-    capacity = {
-        server: Fraction(k * sum(groups[i].group_bytes for i in held))
-        for server, held in per_server.items()
-    }
-    plan = StoragePlan(n, m, k, file_len, per_server, capacity)
-    return layout, plan
+    return layout, StoragePlan(n, m, k, file_len, per_server, capacity)
 
 
 def group_storage(layout: PacketLayout, group: int, library: FileLibrary) -> GroupStorage:

@@ -319,8 +319,17 @@ def eta_lower_bound(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+MAX_RENDER_CELLS = 10**7  # the text holds every cell of the N x N/gcd(N,M) grid
+
+
 def render_sda(sda: StorageDesignArray) -> str:
-    """Serialize as a header line "N M" plus one '*'/'.' line per server."""
+    """Serialize as a header line "N M" plus one '*'/'.' line per server;
+    raise ValueError for a grid of more than MAX_RENDER_CELLS cells."""
+    if sda.n * sda.columns > MAX_RENDER_CELLS:
+        raise ValueError(
+            f"the {sda.n} x {sda.columns} star grid has {sda.n * sda.columns} cells, "
+            f"over the text format's bound of {MAX_RENDER_CELLS}"
+        )
     rows = [bytearray(b"." * sda.columns) for _ in range(sda.n)]
     for j, column in enumerate(sda.column_sets):
         for s in column:

@@ -25,7 +25,7 @@ from scpir.scheme import (
     plan_storage,
     random_library,
 )
-from scpir.sfpir import Answer
+from scpir.sfpir import Answer, decode
 
 
 def build_instance(n, m, k, seed=0, build=sda.build_greedy):
@@ -94,6 +94,24 @@ class TestCorrectnessAudit:
             check = correctness_audit(plan, layout, library, tamper=flip)
             assert not check.passed, (n, m, k)
             assert f"group {target} " in check.detail
+
+
+    def test_fails_on_decode_fault_at_one_base(self, monkeypatch):
+        # the real-byte rounds all run at base (0, 0), so only the walk
+        # over every base on the one-hot basis can see this fault
+        layout, plan, library = build_instance(9, 4, 2)
+        target = (2, 3)
+
+        def faulty(theta, base, answers):
+            packets = decode(theta, base, answers)
+            if base == target:
+                packets[0] = bytes([packets[0][0] ^ 1]) + packets[0][1:]
+            return packets
+
+        monkeypatch.setattr("scpir.audit.decode", faulty)
+        check = correctness_audit(plan, layout, library)
+        assert not check.passed
+        assert f"base {target}" in check.detail
 
 
 class TestRateAudit:

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -38,6 +39,14 @@ class TestBuild:
         assert code == 0
         text = stdout.rsplit("eta=", 1)[0]
         assert sda.column_profile(sda.parse_sda(text)).eta == 6
+
+    def test_grid_over_cell_bound_refused_fast(self, capsys):
+        start = time.perf_counter()
+        code, stdout, stderr = run(capsys, "build", "--n", "100000", "--m", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert stdout == ""
+        assert "5000000000 cells" in stderr
 
     def test_3000_2_builds_and_reparses(self, capsys, tmp_path):
         out = tmp_path / "array.txt"
@@ -83,6 +92,16 @@ class TestAudit:
         code, stdout, _ = run(capsys, "audit", "--n", "9", "--m", "4", "--k", "2")
         assert code == 0
         assert "overall: pass" in stdout
+
+    @pytest.mark.parametrize(
+        "n, m, k, bill", [(9, 4, 9, 9 * 4**10), (3, 2, 19, 19 * 2**20)]
+    )
+    def test_over_budget_walk_refused_fast(self, capsys, n, m, k, bill):
+        start = time.perf_counter()
+        code, _, stderr = run(capsys, "audit", "--n", str(n), "--m", str(m), "--k", str(k))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"K*M^(K+1) = {bill} queries" in stderr
 
     def test_single_server_budget_refused(self, capsys):
         code, _, stderr = run(capsys, "audit", "--n", "5", "--m", "1", "--k", "2")
