@@ -106,16 +106,20 @@ def queries_duplicate_shift(theta: int, base: tuple[int, ...], m: int) -> list[t
 # ---------------------------------------------------------------------------
 
 
-def _rounds(m: int, k: int, query_fn=make_queries):
-    """Yield (theta, base, queries) for every wanted file and base vector
-    of one (M, K) group. The walk's bill is K*M^(K+1) answered queries;
-    over MAX_REALIZATIONS it raises ValueError before the first round."""
-    bill = k * m ** (k + 1)
-    if bill > sfpir.MAX_REALIZATIONS:
+def _check_bill(m: int, k: int) -> None:
+    """Refuse a round walk whose bill, K*M^(K+1) answered queries, is over
+    MAX_REALIZATIONS. M^64 alone exceeds it for M >= 2, so the power stops there."""
+    if k * m ** min(k + 1, 64) > sfpir.MAX_REALIZATIONS:
         raise ValueError(
-            f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {bill} queries, "
+            f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
             f"over the budget of {sfpir.MAX_REALIZATIONS}"
         )
+
+
+def _rounds(m: int, k: int, query_fn=make_queries):
+    """Yield (theta, base, queries) for every wanted file and base vector
+    of one (M, K) group, after checking the walk's bill."""
+    _check_bill(m, k)
     for theta in range(1, k + 1):
         for base in enumerate_realizations(m, k):
             yield theta, base, query_fn(theta, base, m)
@@ -173,11 +177,12 @@ def correctness_audit(
     each of its group rounds decoded again after `tamper(group,
     server_pos, answer)`, which lets tests corrupt an answer.
     """
-    failures = 0
+    failures = runs = 0
     first = ""
 
     def check(theta, base, answers, want, where):
-        nonlocal failures, first
+        nonlocal failures, runs, first
+        runs += 1
         try:
             if b"".join(decode(theta, base, answers)) == want:
                 return
@@ -193,6 +198,7 @@ def correctness_audit(
     zero = (0,) * plan.k
     for theta in range(1, plan.k + 1):
         t = retrieve(theta, plan, layout, library, [zero] * len(layout.groups))
+        runs += len(t.groups)  # retrieve decodes each group round once
         for g, region in zip(t.groups, layout.groups):
             answers = list(g.answers)
             if tamper is not None:
@@ -202,7 +208,6 @@ def correctness_audit(
         if t.decoded_file != library.file(theta):
             failures += 1
             first = first or f"file {theta} mis-decoded at assembled retrieval"
-    runs = plan.k * (layout.m**plan.k + len(layout.groups) + 1)  # basis, group and file decodes
     return AuditCheck(
         name="correctness",
         passed=failures == 0,
@@ -222,8 +227,7 @@ def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
     is its packet size times the non-silent answers of one (M, K) round.
     That count is taken once per file, on the one-hot basis.
     """
-    k = library.k_files
-    m = layout.m
+    k, m = library.k_files, layout.m
     expected = average_download(layout, k)
     basis = _basis(m, k)
     sent = Counter(
@@ -253,9 +257,7 @@ def storage_audit(plan: StoragePlan, layout: PacketLayout) -> AuditCheck:
             problems.append(f"group {gi} stored on {holders[gi]} servers, expected {plan.m}")
     budget = Fraction(plan.m * plan.k * plan.file_len, plan.n)
     for server in range(1, plan.n + 1):
-        used = Fraction(
-            plan.k * sum(layout.groups[gi].group_bytes for gi in plan.per_server.get(server, ()))
-        )
+        used = plan.k * sum(layout.groups[gi].group_bytes for gi in plan.per_server.get(server, ()))
         if used != budget:
             problems.append(f"server {server} stores {used} symbols, expected {budget}")
     return AuditCheck(
@@ -300,14 +302,12 @@ def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
     basis = _basis(m, k)
     violations = 0
     first = ""
-
     blocks = [((1 << width) - 1) << (f * width) for f in range(k)]  # bits of file f+1
 
     def note(kind, theta, base):
         nonlocal violations, first
         violations += 1
-        if not first:
-            first = f"{kind} violated for file {theta}, base {base}"
+        first = first or f"{kind} violated for file {theta}, base {base}"
 
     for theta, base, queries in _rounds(m, k, query_fn):
         replies = (answer(q, basis) for q in queries)
@@ -411,8 +411,9 @@ def run_full_audit(n: int, m: int, k: int, seed: int = 0) -> AuditReport:
     """Build the greedy scheme for (N, M, K) and run every audit on it."""
     alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(n, m)))
     file_len = minimal_length(n, m)
-    library = random_library(k, file_len, seed)
     layout, plan = plan_storage(alpha, k, file_len)
+    _check_bill(m, k)  # before the K files are drawn
+    library = random_library(k, file_len, seed)
     return AuditReport(
         [
             storage_audit(plan, layout),

@@ -319,7 +319,7 @@ def eta_lower_bound(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-MAX_RENDER_CELLS = 10**7  # the text holds every cell of the N x N/gcd(N,M) grid
+MAX_RENDER_CELLS = 10**8  # 100 MB of text; rendering holds about 3 bytes per cell
 
 
 def render_sda(sda: StorageDesignArray) -> str:
