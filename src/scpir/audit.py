@@ -17,7 +17,10 @@ with 0/1 coefficients fixed by (theta, base) alone. On the one-hot basis,
 where packet i of file f+1 is the single bit f*(M-1)+i, an answer's
 payload is its coefficient row, and a round that decodes the basis
 decodes every group of every library. Every round-level audit walks the
-same K*M^K (theta, base) rounds, refused up front when over budget.
+same K*M^K (theta, base) rounds, refused up front when their K*M^(K+1)
+queries are over budget. Those rounds hold only M^K distinct queries, so
+the walk answers each once on the basis and replays the reply from a memo
+that ends with the walk.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -107,8 +110,10 @@ def queries_duplicate_shift(theta: int, base: tuple[int, ...], m: int) -> list[t
 
 
 def _check_bill(m: int, k: int) -> None:
-    """Refuse a round walk whose bill, K*M^(K+1) answered queries, is over
-    MAX_REALIZATIONS. M^64 alone exceeds it for M >= 2, so the power stops there."""
+    """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
+    MAX_REALIZATIONS. The walk answers only its M^K distinct queries, but
+    each walked query is still counted or checked once. M^64 alone exceeds
+    the budget for M >= 2, so the power stops there."""
     if k * m ** min(k + 1, 64) > sfpir.MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -118,7 +123,8 @@ def _check_bill(m: int, k: int) -> None:
 
 def _rounds(m: int, k: int, query_fn=make_queries):
     """Yield (theta, base, queries) for every wanted file and base vector
-    of one (M, K) group, after checking the walk's bill."""
+    of one (M, K) group, after checking the walk's bill of K*M^(K+1)
+    walked queries."""
     _check_bill(m, k)
     for theta in range(1, k + 1):
         for base in enumerate_realizations(m, k):
@@ -131,6 +137,19 @@ def _basis(m: int, k: int) -> sfpir.GroupStorage:
     width = m - 1
     bits = [(1 << b).to_bytes((k * width + 7) // 8, "little") for b in range(k * width)]
     return sfpir.GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
+
+
+def _basis_rounds(basis: sfpir.GroupStorage, query_fn=make_queries):
+    """Yield (theta, base, answers) for every round of `_rounds`, answered
+    on `basis`. A reply is a function of its query and the storage alone,
+    so each distinct query (at most M^K of them) is answered once; the
+    memo lives only as long as this walk."""
+    replies = {}
+    for theta, base, queries in _rounds(basis.m, basis.k, query_fn):
+        for q in queries:
+            if q not in replies:
+                replies[q] = answer(q, basis)
+        yield theta, base, [replies[q] for q in queries]
 
 
 def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_queries) -> AuditCheck:
@@ -192,8 +211,7 @@ def correctness_audit(
         first = first or f"file {theta} mis-decoded at {where}"
 
     basis = _basis(layout.m, plan.k)
-    for theta, base, queries in _rounds(layout.m, plan.k):
-        answers = [answer(q, basis) for q in queries]
+    for theta, base, answers in _basis_rounds(basis):
         check(theta, base, answers, b"".join(basis.packets[theta - 1]), f"base {base}")
     zero = (0,) * plan.k
     for theta in range(1, plan.k + 1):
@@ -229,9 +247,8 @@ def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
     """
     k, m = library.k_files, layout.m
     expected = average_download(layout, k)
-    basis = _basis(m, k)
     sent = Counter(
-        theta for theta, _, queries in _rounds(m, k) for q in queries if not answer(q, basis).silent
+        theta for theta, _, answers in _basis_rounds(_basis(m, k)) for a in answers if not a.silent
     )
     packet_bytes = sum(region.packet_bytes for region in layout.groups)
     measured = [Fraction(packet_bytes * sent[theta], m**k) for theta in range(1, k + 1)]
@@ -299,7 +316,6 @@ def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
     The rows are the answers themselves, taken on the one-hot basis.
     """
     width = m - 1  # coefficient bits per file; the virtual packet has none
-    basis = _basis(m, k)
     violations = 0
     first = ""
     blocks = [((1 << width) - 1) << (f * width) for f in range(k)]  # bits of file f+1
@@ -309,21 +325,21 @@ def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
         violations += 1
         first = first or f"{kind} violated for file {theta}, base {base}"
 
-    for theta, base, queries in _rounds(m, k, query_fn):
-        replies = (answer(q, basis) for q in queries)
-        rows = [int.from_bytes(a.payload, "little") for a in replies if not a.silent]
+    for theta, base, answers in _basis_rounds(_basis(m, k), query_fn):
+        rows = [int.from_bytes(a.payload, "little") for a in answers if not a.silent]
         wanted = [r & blocks[theta - 1] for r in rows]
         if not _gf2_independent([r for r in wanted if r]):
             note("retrieved-independence", theta, base)
+        spread = 0  # the bits on which some row differs from the first
+        for r in rows:
+            spread |= r ^ rows[0]
         for other in range(1, k + 1):
             if other == theta:
                 continue
             kept = [r & ~blocks[other - 1] for r in rows]
             if not _gf2_independent([r for r in kept if r]):
                 note("requested-independence", theta, base)
-            residual_mask = ~(blocks[theta - 1] | blocks[other - 1])
-            residuals = {r & residual_mask for r in rows}
-            if len(residuals) > 1:
+            if spread & ~(blocks[theta - 1] | blocks[other - 1]):
                 note("residual-identity", theta, base)
     return AuditCheck(
         name="conditions",

@@ -1,8 +1,9 @@
 """Command-line surface: build arrays, simulate retrievals, audit, compare.
 
 Exit codes: 0 on success (and on an all-pass audit), 1 when an audit
-fails, 2 on usage or parameter errors and on output files that cannot be
-written.
+fails, 2 on usage or parameter errors, on output files that cannot be
+written, and on sizes too large to represent or allocate (OverflowError,
+MemoryError).
 """
 
 import argparse
@@ -182,8 +183,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from scpir import sda
+from scpir import audit, sda
 from scpir.audit import (
     conditions_audit,
     correctness_audit,
@@ -25,7 +25,7 @@ from scpir.scheme import (
     plan_storage,
     random_library,
 )
-from scpir.sfpir import Answer, decode
+from scpir.sfpir import Answer, answer, decode, make_queries
 
 
 def build_instance(n, m, k, seed=0, build=sda.build_greedy):
@@ -71,6 +71,8 @@ def test_audits_hold_on_random_layouts(instance):
     assert rate.measured == str(average_download(layout, k))
     offset_dropped = privacy_audit(layout, library, query_fn=queries_missing_offset)
     assert offset_dropped.passed == (k == 1)  # one file leaves nothing to separate
+    assert conditions_audit(m, k).passed
+    assert not conditions_audit(m, k, query_fn=queries_duplicate_shift).passed
 
 
 class TestCorrectnessAudit:
@@ -203,6 +205,65 @@ class TestConditionsAudit:
         check = conditions_audit(3, 2, query_fn=queries_duplicate_shift)
         assert not check.passed
         assert "retrieved-independence" in check.detail
+
+    def test_fails_on_shifted_unwanted_coordinate(self):
+        def shifted_unwanted(theta, base, m):
+            """Server 1's coordinate of the file after theta moves by one."""
+            queries = make_queries(theta, base, m)
+            other = theta % len(base)
+            moved = queries[1][:other] + ((queries[1][other] + 1) % m,) + queries[1][other + 1 :]
+            return [queries[0], moved] + queries[2:]
+
+        for m, k in [(2, 3), (3, 3), (3, 4)]:
+            check = conditions_audit(m, k, query_fn=shifted_unwanted)
+            assert not check.passed, (m, k)
+            assert "residual-identity" in check.detail
+            assert check.measured == per_file_violations(m, k, shifted_unwanted), (m, k)
+
+
+def per_file_violations(m, k, query_fn):
+    """The conditions count built the long way: every round answered
+    afresh and one residual set per unwanted file."""
+    basis = audit._basis(m, k)
+    blocks = [((1 << (m - 1)) - 1) << (f * (m - 1)) for f in range(k)]
+    violations = 0
+    for theta, _, queries in audit._rounds(m, k, query_fn):
+        replies = [answer(q, basis) for q in queries]
+        rows = [int.from_bytes(a.payload, "little") for a in replies if not a.silent]
+        wanted = [r & blocks[theta - 1] for r in rows]
+        violations += not audit._gf2_independent([r for r in wanted if r])
+        for other in range(1, k + 1):
+            if other == theta:
+                continue
+            kept = [r & ~blocks[other - 1] for r in rows]
+            violations += not audit._gf2_independent([r for r in kept if r])
+            mask = ~(blocks[theta - 1] | blocks[other - 1])
+            violations += len({r & mask for r in rows}) > 1
+    return violations
+
+
+@pytest.mark.parametrize("m, k", [(3, 3), (5, 2)])
+def test_round_audits_answer_each_distinct_query_once(monkeypatch, m, k):
+    layout, _, library = build_instance(m + 1, m, k)
+    runs = {
+        "rate": lambda: rate_audit(layout, library),
+        "conditions": lambda: conditions_audit(m, k),
+    }
+    plain = {name: run() for name, run in runs.items()}
+    calls = 0
+
+    def counted(query, storage):
+        nonlocal calls
+        calls += 1
+        return answer(query, storage)
+
+    monkeypatch.setattr("scpir.audit.answer", counted)
+    for name, run in runs.items():
+        calls = 0
+        check = run()
+        assert calls == m**k, name
+        got = (check.passed, check.measured, check.detail)
+        assert got == (plain[name].passed, plain[name].measured, plain[name].detail), name
 
 
 class TestSubpacketizationAudit:

@@ -164,6 +164,29 @@ def test_unwritable_out_exits_two(capsys, tmp_path, argv):
     assert stderr.startswith("error: ") and str(out) in stderr
 
 
+def test_library_length_overflow_exits_two(capsys):
+    # randbytes refuses the 3*10^11-byte file when it converts the bit
+    # count to a C int, before anything is allocated
+    code, stdout, stderr = run(
+        capsys, "simulate", "--n", "3", "--m", "2", "--k", "2", "--theta", "1",
+        "--l-mult", "100000000000",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+
+
+def test_out_of_memory_exits_two(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("scpir.cli.random_library", exhausted)
+    code, stdout, stderr = run(capsys, "simulate", "--n", "3", "--m", "2", "--k", "2", "--theta", "1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: MemoryError\n"
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--n", "12"])
