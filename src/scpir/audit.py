@@ -44,6 +44,7 @@ from .scheme import (
     minimal_length,
     plan_storage,
     random_library,
+    require_retrieval_params,
     retrieve,
 )
 from .sfpir import ProtocolViolation, answer, decode, enumerate_realizations, make_queries
@@ -424,11 +425,15 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
 
 
 def run_full_audit(n: int, m: int, k: int, seed: int = 0) -> AuditReport:
-    """Build the greedy scheme for (N, M, K) and run every audit on it."""
+    """Build the greedy scheme for (N, M, K) and run every audit on it,
+    after refusing bad (N, M), out-of-scope (M, K) and over-budget walks
+    up front."""
+    sda.require_params(n, m)
+    require_retrieval_params(m, k)
+    _check_bill(m, k)
     alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(n, m)))
     file_len = minimal_length(n, m)
     layout, plan = plan_storage(alpha, k, file_len)
-    _check_bill(m, k)  # before the K files are drawn
     library = random_library(k, file_len, seed)
     return AuditReport(
         [

@@ -44,6 +44,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_build(args) -> int:
+    sda.check_renderable(args.n, args.m)  # refuse before building
     array = _BUILDERS[args.method](args.n, args.m)
     eta = sda.column_profile(array).eta
     _write_or_print(sda.render_sda(array), args.out)

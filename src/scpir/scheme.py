@@ -46,7 +46,6 @@ class GroupRegion:
     in the file it lives."""
 
     servers: tuple[int, ...]
-    multiplicity: int
     group_bytes: int
     packet_bytes: int
     file_offset: int
@@ -101,20 +100,26 @@ def random_library(k: int, file_len: int, seed: int) -> FileLibrary:
     return FileLibrary(k, file_len, tuple(rng.randbytes(file_len) for _ in range(k)))
 
 
+def require_retrieval_params(m: int, k: int) -> None:
+    """Raise ValueError unless M >= 2 servers per group and K >= 1 files."""
+    if m < 2:
+        raise ValueError("M=1 retrieval is out of scope: the user would download every file")
+    if k < 1:
+        raise ValueError(f"need at least one file, got K={k}")
+
+
 def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
     """Turn a group-fraction assignment into a packet layout and a
     per-server storage plan.
 
     Groups receive contiguous file regions in assignment order. Raises
     ValueError when file_len is not a multiple of the layout granularity
-    or the assignment violates its own invariants.
+    or alpha fails `check`, its one check: alpha may come from an array,
+    an oracle witness or a hand-built dict.
     """
     alpha.check()
     n, m = alpha.n, alpha.m
-    if m < 2:
-        raise ValueError("M=1 retrieval is out of scope: the user would download every file")
-    if k < 1:
-        raise ValueError(f"need at least one file, got K={k}")
+    require_retrieval_params(m, k)
     base = minimal_length(n, m)
     if file_len <= 0 or file_len % base:
         raise ValueError(
@@ -125,7 +130,8 @@ def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
     offset = 0
     for servers, fraction in alpha.entries.items():
         # a region of multiplicity * gcd(N,M)/N of the file splits into M-1
-        # packets of multiplicity * file_len/base symbols each
+        # packets of multiplicity * file_len/base symbols each; the checked
+        # fractions sum to 1, so the regions cover the file
         multiplicity, rest = divmod(fraction.numerator * n, fraction.denominator * g)
         if rest:
             raise ValueError(f"group {servers} fraction {fraction} is not a multiple of {g}/{n}")
@@ -133,15 +139,12 @@ def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
         groups.append(
             GroupRegion(
                 servers=tuple(sorted(servers)),
-                multiplicity=multiplicity,
                 group_bytes=packet_bytes * (m - 1),
                 packet_bytes=packet_bytes,
                 file_offset=offset,
             )
         )
         offset += packet_bytes * (m - 1)
-    if offset != file_len:
-        raise ValueError(f"group regions cover {offset} of {file_len} symbols")
     layout = PacketLayout(n, m, file_len, tuple(groups))
 
     stored: dict[int, list[int]] = {server: [] for server in range(1, n + 1)}

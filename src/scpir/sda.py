@@ -15,6 +15,10 @@ here:
   (2M+1, M) template and its star/blank complement.
 
 Everything is pure and exact; alpha values are `fractions.Fraction`.
+
+Each fact is checked once: `_freeze` validates every array this module
+makes, so the functions that read an array trust it, and an alpha is
+checked where it is consumed, in `scheme.plan_storage`.
 """
 
 import re
@@ -98,7 +102,8 @@ class AlphaAssignment:
                 )
 
 
-def _require_params(n: int, m: int) -> None:
+def require_params(n: int, m: int) -> None:
+    """Raise ValueError unless 1 <= M <= N."""
     if not (1 <= m <= n):
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
 
@@ -109,7 +114,7 @@ def validate(sda: StorageDesignArray) -> str | None:
     Raises ValueError when the array does not have N/gcd(N,M) columns, each
     a sorted tuple of distinct servers in 1..N, to begin with.
     """
-    _require_params(sda.n, sda.m)
+    require_params(sda.n, sda.m)
     g = gcd(sda.n, sda.m)
     if sda.columns != sda.n // g:
         raise ValueError(f"array has {sda.columns} columns, expected {sda.n // g}")
@@ -135,29 +140,22 @@ def validate(sda: StorageDesignArray) -> str | None:
     return None
 
 
-def _checked(sda: StorageDesignArray) -> StorageDesignArray:
-    problem = validate(sda)
-    if problem is not None:
-        raise ValueError(f"not a valid ({sda.n},{sda.m}) storage design array: {problem}")
-    return sda
-
-
 def column_profile(sda: StorageDesignArray) -> ColumnProfile:
-    """Distinct columns (as 1-based server subsets) in first-occurrence order."""
-    counts = Counter(_checked(sda).column_sets)
+    """Distinct columns (as 1-based server subsets) in first-occurrence
+    order, read from an array that `_freeze` already validated."""
+    counts = Counter(sda.column_sets)
     return ColumnProfile(sda.n, sda.m, tuple(counts), tuple(counts.values()))
 
 
 def alpha_from_profile(profile: ColumnProfile) -> AlphaAssignment:
-    """Per-group file fractions: multiplicity * gcd(N,M)/N for each group."""
+    """Per-group file fractions: multiplicity * gcd(N,M)/N for each group.
+    Left unchecked, since a profile of a valid array gives a valid alpha."""
     g = gcd(profile.n, profile.m)
     entries = {
         subset: Fraction(count * g, profile.n)
         for subset, count in zip(profile.subsets, profile.multiplicities)
     }
-    assignment = AlphaAssignment(profile.n, profile.m, entries)
-    assignment.check()
-    return assignment
+    return AlphaAssignment(profile.n, profile.m, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +164,16 @@ def alpha_from_profile(profile: ColumnProfile) -> AlphaAssignment:
 
 
 def _freeze(n: int, m: int, columns) -> StorageDesignArray:
-    return _checked(StorageDesignArray(n, m, tuple(columns)))
+    array = StorageDesignArray(n, m, tuple(columns))
+    if (problem := validate(array)) is not None:
+        raise ValueError(f"not a valid ({n},{m}) storage design array: {problem}")
+    return array
 
 
 def build_equal_size(n: int, m: int) -> StorageDesignArray:
     """Array whose column j stars the cyclic window of M servers starting
     at (j-1)*M mod N; all N/gcd(N,M) columns are distinct."""
-    _require_params(n, m)
+    require_params(n, m)
     return _freeze(
         n, m, (tuple(sorted((j * m + i) % n + 1 for i in range(m))) for j in range(n // gcd(n, m)))
     )
@@ -189,7 +190,7 @@ def build_greedy(n: int, m: int) -> StorageDesignArray:
     are the (n, m) steps `eta_recursion` counts, one distinct column each.
     When gcd(N,M) = g > 1 the (N/g, M/g) array is stacked g times.
     """
-    _require_params(n, m)
+    require_params(n, m)
     g = gcd(n, m)
     block = n // g
 
@@ -218,7 +219,7 @@ def build_greedy(n: int, m: int) -> StorageDesignArray:
 def eta_recursion(n: int, m: int) -> int:
     """Distinct-column count of the greedy construction, in closed recursive
     form: strip a repeated block, recurse on the remainder, count one per step."""
-    _require_params(n, m)
+    require_params(n, m)
     g = gcd(n, m)
     n, m = n // g, m // g
     steps = 0
@@ -260,8 +261,7 @@ def build_q_array(m: int) -> StorageDesignArray:
 
 def opposite(sda: StorageDesignArray) -> StorageDesignArray:
     """Swap stars and blanks: an (N, M) array becomes an (N, N-M) array with
-    the same distinct-column count."""
-    _checked(sda)
+    the same distinct-column count; only the result is validated."""
     if sda.m == sda.n:
         raise ValueError("opposite of a full-replication array has empty columns")
     servers = frozenset(range(1, sda.n + 1))
@@ -308,7 +308,7 @@ def build_improved(n: int, m: int) -> StorageDesignArray:
 def eta_lower_bound(n: int, m: int) -> int:
     """Floor on the distinct-column count of any feasible group support:
     max(ceil(N/M), ceil(N/(N-M))), or 1 for full replication."""
-    _require_params(n, m)
+    require_params(n, m)
     if m == n:
         return 1
     return max(-(-n // m), -(-n // (n - m)))
@@ -322,14 +322,22 @@ def eta_lower_bound(n: int, m: int) -> int:
 MAX_RENDER_CELLS = 10**8  # 100 MB of text; rendering holds about 3 bytes per cell
 
 
+def check_renderable(n: int, m: int) -> None:
+    """Raise ValueError unless 1 <= M <= N and the (N, M) star grid,
+    N x N/gcd(N,M) cells, is within MAX_RENDER_CELLS; needs no array."""
+    require_params(n, m)
+    columns = n // gcd(n, m)
+    if n * columns > MAX_RENDER_CELLS:
+        raise ValueError(
+            f"the {n} x {columns} star grid has {n * columns} cells, "
+            f"over the text format's bound of {MAX_RENDER_CELLS}"
+        )
+
+
 def render_sda(sda: StorageDesignArray) -> str:
     """Serialize as a header line "N M" plus one '*'/'.' line per server;
     raise ValueError for a grid of more than MAX_RENDER_CELLS cells."""
-    if sda.n * sda.columns > MAX_RENDER_CELLS:
-        raise ValueError(
-            f"the {sda.n} x {sda.columns} star grid has {sda.n * sda.columns} cells, "
-            f"over the text format's bound of {MAX_RENDER_CELLS}"
-        )
+    check_renderable(sda.n, sda.m)
     rows = [bytearray(b"." * sda.columns) for _ in range(sda.n)]
     for j, column in enumerate(sda.column_sets):
         for s in column:
@@ -349,7 +357,7 @@ def parse_sda(text: str) -> StorageDesignArray:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ValueError(f"bad header {lines[0]!r}, expected two integers") from None
-    _require_params(n, m)
+    require_params(n, m)
     body = lines[1:]
     if len(body) != n:
         raise ValueError(f"expected {n} rows, got {len(body)}")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from scpir import sda
+from scpir import cli, sda
 from scpir.cli import ANALYZE_HEADER, main
 
 
@@ -48,6 +48,23 @@ class TestBuild:
         assert code == 2
         assert stdout == ""
         assert "5000000000 cells" in stderr
+
+    def test_grid_over_cell_bound_refused_before_building(self, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("build ran before the cell bound was checked")
+
+        for method in ("equal", "greedy", "improved"):
+            monkeypatch.setitem(cli._BUILDERS, method, no_build)
+        code, stdout, stderr = run(capsys, "build", "--n", "100000", "--m", "2")
+        assert code == 2
+        assert stdout == ""
+        assert "5000000000 cells" in stderr
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (3, 4), (5, 0)])
+    def test_parameter_range_refused_before_cell_bound(self, capsys, n, m):
+        code, _, stderr = run(capsys, "build", "--n", str(n), "--m", str(m))
+        assert code == 2
+        assert "need 1 <= M <= N" in stderr
 
     def test_3000_2_builds_and_reparses(self, capsys, tmp_path):
         out = tmp_path / "array.txt"
@@ -112,6 +129,28 @@ class TestAudit:
         code, _, stderr = run(capsys, "audit", "--n", "5", "--m", "1", "--k", str(10**9))
         assert code == 2
         assert "out of scope" in stderr
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the audit built the array before refusing")
+
+        monkeypatch.setattr("scpir.audit.sda.build_greedy", refuse)
+
+    @pytest.mark.parametrize(
+        "n, m, k, message",
+        [
+            (100000, 1, 3, "out of scope"),
+            (9, 4, 9, "over the budget"),
+            (5, 0, 2, "need 1 <= M <= N"),
+            (3, 4, 2, "need 1 <= M <= N"),
+            (0, 2, 2, "need 1 <= M <= N"),
+        ],
+    )
+    def test_refused_before_building(self, capsys, no_build, n, m, k, message):
+        code, _, stderr = run(capsys, "audit", "--n", str(n), "--m", str(m), "--k", str(k))
+        assert code == 2
+        assert message in stderr
 
     def test_single_server_budget_refused(self, capsys):
         code, _, stderr = run(capsys, "audit", "--n", "5", "--m", "1", "--k", "2")

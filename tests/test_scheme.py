@@ -66,6 +66,31 @@ class TestPlanStorage:
         with pytest.raises(ValueError):
             plan_storage(greedy_alpha(3, 1), k=2, file_len=3)
 
+    @pytest.mark.parametrize("build", [sda.build_greedy, sda.build_equal_size])
+    @pytest.mark.parametrize("n, m", [(9, 4), (12, 5), (1000, 13)])
+    def test_each_storage_fact_checked_once(self, monkeypatch, build, n, m):
+        calls = {"validate": 0, "check": 0}
+        validate, check = sda.validate, sda.AlphaAssignment.check
+
+        def counted_validate(array):
+            calls["validate"] += 1
+            return validate(array)
+
+        def counted_check(alpha):
+            calls["check"] += 1
+            return check(alpha)
+
+        monkeypatch.setattr(sda, "validate", counted_validate)
+        monkeypatch.setattr(sda.AlphaAssignment, "check", counted_check)
+        alpha = sda.alpha_from_profile(sda.column_profile(build(n, m)))
+        plan_storage(alpha, k=2, file_len=minimal_length(n, m))
+        assert calls == {"validate": 1, "check": 1}
+
+    def test_rejects_alpha_with_bad_sums(self):
+        broken = sda.AlphaAssignment(4, 2, {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 4)})
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            plan_storage(broken, k=2, file_len=minimal_length(4, 2))
+
 
 class TestRetrieve:
     def test_hand_traced_2_2(self):
