@@ -6,110 +6,3 @@ process, and audits privacy, correctness, download rate, and
 sub-packetization against closed-form targets and brute-force oracles.
 All bookkeeping is exact (integers and rationals); no floating point.
 """
-
-from .packets import add_packets, sum_packets
-from .sda import (
-    AlphaAssignment,
-    ColumnProfile,
-    StorageDesignArray,
-    alpha_from_profile,
-    build_equal_size,
-    build_greedy,
-    build_improved,
-    build_q_array,
-    column_profile,
-    eta_lower_bound,
-    eta_recursion,
-    opposite,
-    parse_sda,
-    render_sda,
-    validate,
-)
-from .oracle import FeasibilityResult, OracleBudgetError, lp_feasible, min_eta_equal, min_eta_star
-from .sfpir import (
-    SILENT,
-    Answer,
-    GroupStorage,
-    ProtocolViolation,
-    answer,
-    decode,
-    enumerate_realizations,
-    make_queries,
-    random_base_vector,
-)
-from .scheme import (
-    FileLibrary,
-    PacketLayout,
-    RetrievalTranscript,
-    StoragePlan,
-    average_download,
-    minimal_length,
-    plan_storage,
-    random_library,
-    retrieve,
-    subpacketization,
-)
-from .audit import (
-    AuditCheck,
-    AuditReport,
-    conditions_audit,
-    correctness_audit,
-    privacy_audit,
-    rate_audit,
-    run_full_audit,
-    storage_audit,
-    subpacketization_audit,
-)
-
-__all__ = [
-    "AlphaAssignment",
-    "Answer",
-    "AuditCheck",
-    "AuditReport",
-    "ColumnProfile",
-    "FeasibilityResult",
-    "FileLibrary",
-    "GroupStorage",
-    "OracleBudgetError",
-    "PacketLayout",
-    "ProtocolViolation",
-    "RetrievalTranscript",
-    "SILENT",
-    "StorageDesignArray",
-    "StoragePlan",
-    "add_packets",
-    "alpha_from_profile",
-    "answer",
-    "average_download",
-    "build_equal_size",
-    "build_greedy",
-    "build_improved",
-    "build_q_array",
-    "column_profile",
-    "conditions_audit",
-    "correctness_audit",
-    "decode",
-    "enumerate_realizations",
-    "eta_lower_bound",
-    "eta_recursion",
-    "lp_feasible",
-    "make_queries",
-    "min_eta_equal",
-    "min_eta_star",
-    "minimal_length",
-    "opposite",
-    "parse_sda",
-    "plan_storage",
-    "privacy_audit",
-    "random_base_vector",
-    "random_library",
-    "rate_audit",
-    "render_sda",
-    "retrieve",
-    "run_full_audit",
-    "storage_audit",
-    "subpacketization",
-    "subpacketization_audit",
-    "sum_packets",
-    "validate",
-]

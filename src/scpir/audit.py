@@ -41,6 +41,7 @@ from .scheme import (
     PacketLayout,
     StoragePlan,
     average_download,
+    check_retrieval_size,
     minimal_length,
     plan_storage,
     random_library,
@@ -426,11 +427,12 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
 
 def run_full_audit(n: int, m: int, k: int, seed: int = 0) -> AuditReport:
     """Build the greedy scheme for (N, M, K) and run every audit on it,
-    after refusing bad (N, M), out-of-scope (M, K) and over-budget walks
-    up front."""
+    after refusing bad (N, M), out-of-scope (M, K), over-budget walks and
+    oversized retrievals (`scheme.check_retrieval_size`) up front."""
     sda.require_params(n, m)
     require_retrieval_params(m, k)
     _check_bill(m, k)
+    check_retrieval_size(n, m, k, 1)
     alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(n, m)))
     file_len = minimal_length(n, m)
     layout, plan = plan_storage(alpha, k, file_len)

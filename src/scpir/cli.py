@@ -10,12 +10,14 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from math import gcd
 
 from . import sda
 from .audit import run_full_audit
 from .scheme import (
     RetrievalTranscript,
+    check_retrieval_size,
     minimal_length,
     plan_storage,
     random_library,
@@ -35,19 +37,17 @@ _BUILDERS = {
 }
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None):
+    """The --out file opened for writing, or stdout, which stays open."""
+    return open(out, "w") if out else nullcontext(sys.stdout)
 
 
 def cmd_build(args) -> int:
     sda.check_renderable(args.n, args.m)  # refuse before building
     array = _BUILDERS[args.method](args.n, args.m)
     eta = sda.column_profile(array).eta
-    _write_or_print(sda.render_sda(array), args.out)
+    with _output(args.out) as fh:
+        fh.write(sda.render_sda(array))
     print(f"eta={eta} F={eta * (args.m - 1)}")
     return 0
 
@@ -80,6 +80,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"theta must be in 1..{args.k} (indices are 1-based)")
     if args.l_mult < 1:
         raise ValueError("l-mult must be a positive integer")
+    check_retrieval_size(args.n, args.m, args.k, args.l_mult)  # refuse before building
     alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(args.n, args.m)))
     file_len = args.l_mult * minimal_length(args.n, args.m)
     layout, plan = plan_storage(alpha, args.k, file_len)
@@ -89,7 +90,8 @@ def cmd_simulate(args) -> int:
     transcript = retrieve(args.theta, plan, layout, library, bases)
     match = transcript.decoded_file == library.file(args.theta)
     record = transcript_record(args.n, args.m, args.k, transcript, match)
-    _write_or_print(json.dumps(record, indent=2) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(record, indent=2) + "\n")
     if args.out:
         print(f"downloaded_symbols={transcript.downloaded_symbols} decode_match={match}")
     return 0
@@ -130,14 +132,13 @@ def analysis_row(n: int, m: int) -> dict:
 def cmd_analyze(args) -> int:
     if args.n_max < 2:
         raise ValueError("n-max must be at least 2")
-    lines = [ANALYZE_HEADER]
-    for n in range(2, args.n_max + 1):
-        for m in range(2, n + 1):
-            row = analysis_row(n, m)
-            lines.append(
-                ",".join("" if row[key] is None else str(row[key]) for key in ANALYZE_HEADER.split(","))
-            )
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    keys = ANALYZE_HEADER.split(",")
+    with _output(args.out) as fh:
+        fh.write(ANALYZE_HEADER + "\n")
+        for n in range(2, args.n_max + 1):
+            for m in range(2, n + 1):  # each row written as made: memory stays flat
+                row = analysis_row(n, m)
+                fh.write(",".join("" if row[key] is None else str(row[key]) for key in keys) + "\n")
     return 0
 
 

@@ -207,13 +207,11 @@ def lp_feasible(candidate, n: int, m: int) -> FeasibilityResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_scale(n: int, m: int, cap: int) -> None:
+def _check_scale(n: int, m: int) -> None:
     if not (2 <= m <= n):
         raise ValueError(f"need 2 <= M <= N, got N={n}, M={m}")
     if n > MAX_SERVERS:
         raise ValueError(f"oracle is desk-scale only: N={n} exceeds {MAX_SERVERS}")
-    if cap > MAX_CAP:
-        raise ValueError(f"support cap {cap} exceeds {MAX_CAP}")
 
 
 def _canonical_supports(n: int, m: int, size: int):
@@ -248,22 +246,22 @@ def _canonical_supports(n: int, m: int, size: int):
                 yield [first, second, *rest]
 
 
-def min_eta_star(n: int, m: int, cap: int = MAX_CAP):
+def min_eta_star(n: int, m: int):
     """Smallest feasible support size, with a strictly positive witness.
 
-    Searches sizes upward from the combinatorial lower bound over the
-    canonical supports of `_canonical_supports`; a witness on a strict
-    sub-support would have been found at a smaller size, so the witness has
-    exactly eta* positive groups. When 2M > N and N-M >= 2 the search runs
-    on (N, N-M) and every witness group is complemented: server i's load
-    becomes 1 - (N-M)/N = M/N with the fractions unchanged.
+    Searches sizes upward from the combinatorial lower bound to MAX_CAP,
+    over the canonical supports of `_canonical_supports`; a witness on a
+    strict sub-support would have been found at a smaller size, so the
+    witness has exactly eta* positive groups. When 2M > N and N-M >= 2 the
+    search runs on (N, N-M) and every witness group is complemented: server
+    i's load becomes 1 - (N-M)/N = M/N with the fractions unchanged.
     """
-    _check_scale(n, m, cap)
+    _check_scale(n, m)
     dual = 2 * m > n and n - m >= 2
     side = n - m if dual else m
     mu = Fraction(side, n)
     tried = 0
-    for size in range(eta_lower_bound(n, m), cap + 1):
+    for size in range(eta_lower_bound(n, m), MAX_CAP + 1):
         for candidate in _canonical_supports(n, side, size):
             tried += 1
             solution = _solve_support(candidate, n, mu)
@@ -271,7 +269,7 @@ def min_eta_star(n: int, m: int, cap: int = MAX_CAP):
                 witness = {s: v for s, v in zip(candidate, solution) if v > 0}
                 return size, (_complement(witness, n) if dual else witness)
     raise OracleBudgetError(
-        f"no feasible support of size <= {cap} for N={n}, M={m} ({tried} candidates tried)"
+        f"no feasible support of size <= {MAX_CAP} for N={n}, M={m} ({tried} candidates tried)"
     )
 
 
@@ -281,23 +279,23 @@ def _complement(witness: dict[Subset, Fraction], n: int) -> dict[Subset, Fractio
     return {tuple(i for i in servers if i not in s): v for s, v in witness.items()}
 
 
-def min_eta_equal(n: int, m: int, cap: int = MAX_CAP):
+def min_eta_equal(n: int, m: int):
     """Smallest eta for which some eta-multiset of M-subsets covers every
     server exactly M*eta/N times (all group fractions equal 1/eta).
 
-    Sizes that make M*eta/N non-integral are impossible and skipped; the
-    rest are decided by depth-first search over multisets.
+    Sizes up to MAX_CAP that make M*eta/N non-integral are impossible and
+    skipped; the rest are decided by depth-first search over multisets.
     """
-    _check_scale(n, m, cap)
+    _check_scale(n, m)
     universe = list(combinations(range(1, n + 1), m))
-    for eta in range(1, cap + 1):
+    for eta in range(1, MAX_CAP + 1):
         if (m * eta) % n:
             continue
         target = m * eta // n
         witness = _equal_cover(universe, n, eta, target)
         if witness is not None:
             return eta, witness
-    raise OracleBudgetError(f"no equal-size cover of size <= {cap} for N={n}, M={m}")
+    raise OracleBudgetError(f"no equal-size cover of size <= {MAX_CAP} for N={n}, M={m}")
 
 
 def _equal_cover(universe: list[Subset], n: int, picks: int, target: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .sda import AlphaAssignment
+from .sda import AlphaAssignment, eta_recursion
 from .sfpir import Answer, GroupStorage, answer, decode, make_queries
 
 
@@ -106,6 +106,29 @@ def require_retrieval_params(m: int, k: int) -> None:
         raise ValueError("M=1 retrieval is out of scope: the user would download every file")
     if k < 1:
         raise ValueError(f"need at least one file, got K={k}")
+
+
+# One retrieval over the greedy (N, M) array runs eta_recursion(N, M) rounds of
+# M queries of K symbols on a K x L-byte library. Whole `scpir simulate` runs
+# (Python 3.11, shared 2-CPU host) cost about 4.6 KB per round at M = 2, K = 1,
+# the dearest shape per query symbol, and about three times the library bytes:
+# (32768, 2, 1) with --l-mult 1024 meets both bounds and took 1.8 s and 143 MiB.
+MAX_ROUND_SYMBOLS = 2**15
+MAX_LIBRARY_BYTES = 2**24
+
+
+def check_retrieval_size(n: int, m: int, k: int, l_mult: int) -> None:
+    """Raise ValueError unless one retrieval over the greedy (N, M) array,
+    with K files of l_mult minimal lengths, sends at most MAX_ROUND_SYMBOLS
+    query symbols (groups * M * K) and draws at most MAX_LIBRARY_BYTES.
+    Reads closed forms only, so it can refuse before anything is built."""
+    symbols = eta_recursion(n, m) * m * k
+    library = k * l_mult * minimal_length(n, m)
+    if symbols > MAX_ROUND_SYMBOLS or library > MAX_LIBRARY_BYTES:
+        raise ValueError(
+            f"a retrieval over ({n}, {m}) with K={k} sends {symbols} query symbols and draws a "
+            f"{library}-byte library; the bounds are {MAX_ROUND_SYMBOLS} and {MAX_LIBRARY_BYTES}"
+        )
 
 
 def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):

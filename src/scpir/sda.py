@@ -43,10 +43,6 @@ class StorageDesignArray:
     def columns(self) -> int:
         return len(self.column_sets)
 
-    def column_set(self, j: int) -> tuple[int, ...]:
-        """1-based server indices holding a star in column j (0-based j)."""
-        return self.column_sets[j]
-
 
 @dataclass(frozen=True)
 class ColumnProfile:
@@ -218,17 +214,19 @@ def build_greedy(n: int, m: int) -> StorageDesignArray:
 
 def eta_recursion(n: int, m: int) -> int:
     """Distinct-column count of the greedy construction, in closed recursive
-    form: strip a repeated block, recurse on the remainder, count one per step."""
+    form: strip a repeated block, recurse on the remainder, count one per step.
+    A run of strips is one division, so this takes O(log N) steps like Euclid."""
     require_params(n, m)
     g = gcd(n, m)
     n, m = n // g, m // g
     steps = 0
     while n > 1:
         if n >= 2 * m:
-            n = n - m
+            strips = n // m - 1  # each strip of m leaves n >= m
+            n, steps = n - strips * m, steps + strips
         else:
             n, m = m, 2 * m - n
-        steps += 1
+            steps += 1
     return steps + 1
 
 

@@ -25,7 +25,7 @@ from scpir.scheme import (
     plan_storage,
     random_library,
 )
-from scpir.sfpir import Answer, answer, decode, make_queries
+from scpir.sfpir import SILENT, Answer, answer, decode, make_queries
 
 
 def build_instance(n, m, k, seed=0, build=sda.build_greedy):
@@ -97,6 +97,16 @@ class TestCorrectnessAudit:
             assert not check.passed, (n, m, k)
             assert f"group {target} " in check.detail
 
+
+    def test_silenced_answer_reported_as_protocol_violation(self):
+        layout, plan, library = build_instance(4, 2, 2)
+
+        def silence(gi, pos, a):
+            return SILENT if gi == 0 and pos == 0 else a
+
+        check = correctness_audit(plan, layout, library, tamper=silence)
+        assert not check.passed
+        assert check.detail == "file 1 mis-decoded at group 0 base (0, 0) (protocol violation)"
 
     def test_fails_on_decode_fault_at_one_base(self, monkeypatch):
         # the real-byte rounds all run at base (0, 0), so only the walk
@@ -296,6 +306,14 @@ class TestFullAudit:
         second = run_full_audit(9, 4, 2, seed=3)
         assert first.overall
         assert first.table() == second.table()
+
+    def test_table_lists_each_failure_detail(self):
+        layout, plan, library = build_instance(2, 2, 2)
+        failed = privacy_audit(layout, library, query_fn=queries_missing_offset)
+        report = audit.AuditReport([storage_audit(plan, layout), failed])
+        lines = report.table().splitlines()
+        assert lines[-2:] == [f"  privacy: {failed.detail}", "overall: FAIL"]
+        assert not report.overall
 
     def test_rejects_single_server_budget(self):
         with pytest.raises(ValueError):

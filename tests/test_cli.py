@@ -104,6 +104,51 @@ class TestSimulate:
         assert code == 2
         assert "1-based" in stderr
 
+    def test_zero_length_refused(self, capsys):
+        code, _, stderr = run(
+            capsys, "simulate", "--n", "2", "--m", "2", "--k", "2", "--theta", "1", "--l-mult", "0"
+        )
+        assert code == 2
+        assert "l-mult must be a positive integer" in stderr
+
+    def test_out_file_and_summary_line(self, capsys, tmp_path):
+        out = tmp_path / "transcript.json"
+        code, stdout, _ = run(
+            capsys, "simulate", "--n", "12", "--m", "5", "--k", "2", "--theta", "2",
+            "--out", str(out),
+        )
+        assert code == 0
+        record = json.loads(out.read_text())
+        assert record["decode_match"] is True
+        assert stdout == f"downloaded_symbols={record['downloaded_symbols']} decode_match=True\n"
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("simulate built the array or drew the library before refusing")
+
+        monkeypatch.setattr("scpir.cli.sda.build_greedy", refuse)
+        monkeypatch.setattr("scpir.cli.random_library", refuse)
+
+    @pytest.mark.parametrize(
+        "n, m, k, l_mult, message",
+        [
+            (32770, 2, 1, 1, "sends 32770 query symbols and draws a 16385-byte library"),
+            (100000, 2, 2, 1, "sends 200000 query symbols"),
+            (10**12, 2, 2, 1, "sends 2000000000000 query symbols"),
+            (3, 2, 1, 5592406, "sends 6 query symbols and draws a 16777218-byte library"),
+            (3, 2, 2, 10**11, "draws a 600000000000-byte library"),
+        ],
+    )
+    def test_oversized_refused_before_building(self, capsys, no_build, n, m, k, l_mult, message):
+        code, stdout, stderr = run(
+            capsys, "simulate", "--n", str(n), "--m", str(m), "--k", str(k), "--theta", "1",
+            "--l-mult", str(l_mult),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr
+
 
 class TestAudit:
     def test_all_pass_exit_zero(self, capsys):
@@ -152,6 +197,13 @@ class TestAudit:
         assert code == 2
         assert message in stderr
 
+    @pytest.mark.parametrize("n, m, k", [(100000, 2, 2), (10**12, 2, 2), (32770, 2, 1)])
+    def test_oversized_pass_refused_before_building(self, capsys, no_build, no_walk, n, m, k):
+        code, _, stderr = run(capsys, "audit", "--n", str(n), "--m", str(m), "--k", str(k))
+        assert code == 2
+        assert "query symbols and draws a" in stderr
+        assert "the bounds are 32768 and 16777216" in stderr
+
     def test_single_server_budget_refused(self, capsys):
         code, _, stderr = run(capsys, "audit", "--n", "5", "--m", "1", "--k", "2")
         assert code == 2
@@ -187,6 +239,12 @@ class TestAnalyze:
         # pairs with 2 <= m <= n <= 5: 1 + 2 + 3 + 4
         assert len(stdout.strip().splitlines()) == 1 + 10
 
+    def test_n_max_below_two_refused(self, capsys):
+        code, stdout, stderr = run(capsys, "analyze", "--n-max", "1")
+        assert code == 2
+        assert stdout == ""
+        assert "n-max must be at least 2" in stderr
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -204,8 +262,8 @@ def test_unwritable_out_exits_two(capsys, tmp_path, argv):
 
 
 def test_library_length_overflow_exits_two(capsys):
-    # randbytes refuses the 3*10^11-byte file when it converts the bit
-    # count to a C int, before anything is allocated
+    # the 6*10^11-byte library is refused from its closed form, K times
+    # l-mult times the minimal length, before anything is allocated
     code, stdout, stderr = run(
         capsys, "simulate", "--n", "3", "--m", "2", "--k", "2", "--theta", "1",
         "--l-mult", "100000000000",
@@ -224,6 +282,17 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     assert code == 2
     assert stdout == ""
     assert stderr == "error: MemoryError\n"
+
+
+def test_overflow_exits_two(capsys, monkeypatch):
+    def unrepresentable(*args):
+        raise OverflowError("int too large to convert to C int")
+
+    monkeypatch.setattr("scpir.cli.random_library", unrepresentable)
+    code, stdout, stderr = run(capsys, "simulate", "--n", "3", "--m", "2", "--k", "2", "--theta", "1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: int too large to convert to C int\n"
 
 
 def test_usage_error_exits_two(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scpir import sda
+from scpir import oracle, sda
 from scpir.oracle import OracleBudgetError, lp_feasible, min_eta_equal, min_eta_star
 
 
@@ -120,16 +120,15 @@ class TestMinEtaStar:
         with pytest.raises(ValueError):
             min_eta_star(9, 2)
         with pytest.raises(ValueError):
-            min_eta_star(6, 2, cap=13)
-        with pytest.raises(ValueError):
             min_eta_star(6, 1)
 
-    def test_cap_exceeded_reports(self):
+    def test_cap_exceeded_reports(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CAP", 3)
         with pytest.raises(OracleBudgetError):
-            min_eta_star(5, 2, cap=3)
+            min_eta_star(5, 2)
         # searched on the complement side, reported for the instance asked
         with pytest.raises(OracleBudgetError, match="N=5, M=3"):
-            min_eta_star(5, 3, cap=3)
+            min_eta_star(5, 3)
 
 
 class TestMinEtaEqual:
@@ -149,6 +148,7 @@ class TestMinEtaEqual:
             for m in range(2, n + 1):
                 assert min_eta_equal(n, m)[0] == n // gcd(n, m)
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CAP", 4)
         with pytest.raises(OracleBudgetError):
-            min_eta_equal(5, 2, cap=4)
+            min_eta_equal(5, 2)

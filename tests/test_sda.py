@@ -164,11 +164,11 @@ class TestAlphaAssignment:
 class TestEqualSize:
     def test_12_5_cyclic_windows(self):
         array = sda.build_equal_size(12, 5)
-        assert [tuple(sorted(array.column_set(j))) for j in range(12)] == CYCLIC_12_5
+        assert [tuple(sorted(array.column_sets[j])) for j in range(12)] == CYCLIC_12_5
 
     def test_4_2_two_windows(self):
         array = sda.build_equal_size(4, 2)
-        assert [array.column_set(j) for j in range(2)] == [(1, 2), (3, 4)]
+        assert [array.column_sets[j] for j in range(2)] == [(1, 2), (3, 4)]
 
     def test_full_replication(self):
         array = sda.build_equal_size(6, 6)
@@ -279,7 +279,7 @@ class TestImproved:
     def test_leading_blocks(self):
         array = sda.build_improved(16, 5)  # d=3: one 5x5 block then the template
         assert sda.column_profile(array).eta == 3 + 3 + 1
-        assert array.column_set(0) == (1, 2, 3, 4, 5)
+        assert array.column_sets[0] == (1, 2, 3, 4, 5)
 
     def test_rejected_parameters(self):
         with pytest.raises(ValueError):
