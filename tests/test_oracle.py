@@ -1,5 +1,6 @@
 """Brute-force oracle: exact feasibility and minimum-support searches."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -84,6 +85,22 @@ class TestLpFeasible:
                 flipped = {flip(s): v for s, v in result.witness.items()}
                 sda.AlphaAssignment(n, n - m, flipped).check()
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_group_order_does_not_change_feasibility(self, data):
+        # a new column order takes the simplex down a different pivot path
+        n = data.draw(st.integers(2, 8), label="n")
+        m = data.draw(st.integers(2, n), label="m")
+        universe = list(combinations(range(1, n + 1), m))
+        groups = st.lists(st.sampled_from(universe), min_size=1, max_size=10, unique=True)
+        support = data.draw(groups, label="support")
+        shuffled = data.draw(st.permutations(support), label="shuffled")
+        results = [lp_feasible(support, n, m), lp_feasible(shuffled, n, m)]
+        assert results[0].feasible == results[1].feasible
+        for result in results:
+            if result.feasible:
+                sda.AlphaAssignment(n, m, dict(result.witness)).check()
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             lp_feasible([], 4, 2)
@@ -91,6 +108,23 @@ class TestLpFeasible:
             lp_feasible([(1, 2), (1, 2)], 4, 2)
         with pytest.raises(ValueError):
             lp_feasible([(1, 2, 3)], 4, 2)
+
+
+def test_witnesses_pinned():
+    # sha256 over every N <= 8 result of both searches, pinned before the
+    # kernel went fraction-free: the same pivots must give the same vertices
+    star, equal = [], []
+    for n in range(2, 9):
+        for m in range(2, n + 1):
+            eta, witness = min_eta_star(n, m)
+            star.append((eta, sorted(witness.items())))
+            equal.append(min_eta_equal(n, m))
+    assert hashlib.sha256(repr(star).encode()).hexdigest() == (
+        "a40e5cfc6dcb4299d819bebd362e6c650be22f5b19c18e115c5e44a8c21b1525"
+    )
+    assert hashlib.sha256(repr(equal).encode()).hexdigest() == (
+        "a46fbca0fde54b2c175567f26916800bf5113eea0879e2c18a3283c61e4bb05b"
+    )
 
 
 class TestMinEtaStar:
