@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success (and on an all-pass audit), 1 when an audit
 fails, 2 on usage or parameter errors, on output files that cannot be
-written, and on sizes too large to represent or allocate (OverflowError,
-MemoryError).
+written, on sizes too large to represent or allocate (OverflowError,
+MemoryError), and on inputs that recurse too deeply (RecursionError).
 """
 
 import argparse
@@ -103,42 +103,31 @@ def cmd_audit(args) -> int:
     return 0 if report.overall else 1
 
 
-def analysis_row(n: int, m: int) -> dict:
-    """One comparison row from the closed forms, building no array;
-    improved entries are None when no d >= 2 gives N = d*M+1 or d*M-1,
-    or when M < 3."""
+def analysis_row(n: int, m: int) -> tuple[str, ...]:
+    """One comparison row's cells, in ANALYZE_HEADER order, from the closed
+    forms, building no array; the improved cells are empty when no d >= 2
+    gives N = d*M+1 or d*M-1, or when M < 3."""
     g = gcd(n, m)
     eta_equal = n // g  # every cyclic-window column is distinct
     eta_greedy = sda.eta_recursion(n, m)
     family = sda.improved_family(n, m)
-    eta_improved = None if family is None else family[2]
+    eta_improved, f_improved = ("", "") if family is None else (family[2], family[2] * (m - 1))
     eta_lower = sda.eta_lower_bound(n, m)
-    return {
-        "n": n,
-        "m": m,
-        "gcd": g,
-        "eta_equal": eta_equal,
-        "eta_greedy": eta_greedy,
-        "eta_improved": eta_improved,
-        "eta_lower": eta_lower,
-        "f_equal": eta_equal * (m - 1),
-        "f_greedy": eta_greedy * (m - 1),
-        "f_improved": None if eta_improved is None else eta_improved * (m - 1),
-        "f_lower": eta_lower * (m - 1),
-        "gap_bound": min(m, n - m) // g if m < n else 1,
-    }
+    gap_bound = min(m, n - m) // g if m < n else 1
+    return tuple(map(str, (
+        n, m, g, eta_equal, eta_greedy, eta_improved, eta_lower,
+        eta_equal * (m - 1), eta_greedy * (m - 1), f_improved, eta_lower * (m - 1), gap_bound,
+    )))
 
 
 def cmd_analyze(args) -> int:
     if args.n_max < 2:
         raise ValueError("n-max must be at least 2")
-    keys = ANALYZE_HEADER.split(",")
     with _output(args.out) as fh:
         fh.write(ANALYZE_HEADER + "\n")
         for n in range(2, args.n_max + 1):
             for m in range(2, n + 1):  # each row written as made: memory stays flat
-                row = analysis_row(n, m)
-                fh.write(",".join("" if row[key] is None else str(row[key]) for key in keys) + "\n")
+                fh.write(",".join(analysis_row(n, m)) + "\n")
     return 0
 
 
@@ -185,7 +174,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -10,12 +10,14 @@ Two questions are answered exactly on desk-scale instances:
 
 `min_eta_star` is the LP over group fractions of Attia-Kumar-Tandon
 (uncoded storage-constrained PIR) and Woolsey-Chen-Ji (storage-constrained
-PIR designs). Every candidate support is decided by an exact-rational
-feasibility kernel (unit propagation plus a phase-1 simplex under Bland's
-rule), so the results are certificates, not estimates. The candidates are
-a canonical family that meets every relabeling orbit of supports; that is
-sound because of two symmetries of the per-server equalities
-sum_{s ∋ i} alpha_s = M/N:
+PIR designs). Every candidate support is decided by an exact integer
+feasibility kernel: measured in units of 1/N, the per-server budget M/N is
+the integer M, so unit propagation runs on integers and the phase-1
+simplex under Bland's rule is fraction-free (Bareiss, Math. Comp. 1968).
+`Fraction` appears only in the returned witness, and the results are
+certificates, not estimates. The candidates are a canonical family that
+meets every relabeling orbit of supports; that is sound because of two
+symmetries of the per-server equalities sum_{s ∋ i} alpha_s = M/N:
 
 * Relabeling. Permuting server labels maps feasible supports to feasible
   supports, so every feasible support has an image that contains [M] and,
@@ -62,17 +64,21 @@ class FeasibilityResult:
 # ---------------------------------------------------------------------------
 
 
-def _propagate(subsets: list[Subset], n: int, mu: Fraction):
-    """Unit propagation on the per-server equality constraints.
+def _propagate(subsets: list[Subset], n: int, side: int):
+    """Unit propagation on the per-server equality constraints, in integer
+    units of 1/N: every server's budget M/N is `side` units.
 
     Returns (alpha, remaining) where alpha[j] is a decided value or None,
     and remaining[i] is server i+1's still-unassigned budget; returns None
     when a contradiction is reached. Only forced deductions are made, so
     the reduced system is equivalent to the original.
     """
-    alpha: list[Fraction | None] = [None] * len(subsets)
-    remaining = [mu] * n
-    covers = [[j for j, s in enumerate(subsets) if i + 1 in s] for i in range(n)]
+    alpha: list[int | None] = [None] * len(subsets)
+    remaining = [side] * n
+    covers: list[list[int]] = [[] for _ in range(n)]
+    for j, s in enumerate(subsets):
+        for server in s:
+            covers[server - 1].append(j)
     progress = True
     while progress:
         progress = False
@@ -85,7 +91,7 @@ def _propagate(subsets: list[Subset], n: int, mu: Fraction):
             if remaining[i] == 0:
                 # exhausted server: every remaining group through it is forced to 0
                 for j in live:
-                    alpha[j] = Fraction(0)
+                    alpha[j] = 0
                 progress = True
             elif len(live) == 1:
                 j = live[0]
@@ -99,75 +105,83 @@ def _propagate(subsets: list[Subset], n: int, mu: Fraction):
     return alpha, remaining
 
 
-def _phase1_simplex(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve A x = b, x >= 0 (b >= 0) exactly; returns x or None if infeasible.
+def _phase1_simplex(rows: list[list[int]], rhs: list[int]):
+    """Solve A x = b, x >= 0 (integer A, b >= 0) exactly; returns x as
+    Fractions, or None if infeasible.
 
-    Phase-1 simplex over Fractions: minimize the sum of one artificial
-    variable per constraint, pivoting by Bland's rule so termination is
-    guaranteed.
+    Phase-1 simplex: minimize the sum of one artificial variable per
+    constraint, pivoting by Bland's rule so termination is guaranteed. The
+    tableau is fraction-free (Bareiss): it holds d times the rational
+    tableau, where d, the last pivot, is the determinant of the current
+    basis. So every entry stays an integer and every update divides
+    exactly by d; the ratio test pivots only on positive entries, so d > 0
+    and every sign is the rational tableau's.
     """
     p = len(rows)
     s = len(rows[0]) if p else 0
     total = s + p
-    tab = [rows[r][:] + [Fraction(int(i == r)) for i in range(p)] + [rhs[r]] for r in range(p)]
+    tab = [rows[r] + [int(i == r) for i in range(p)] + [rhs[r]] for r in range(p)]
+    # reduced-cost row for the artificial objective: column sums minus costs,
+    # so 0 on the artificials; its last entry is the objective's value
+    tab.append([sum(col) for col in zip(*rows)] + [0] * p + [sum(rhs)])
+    obj = p
     basis = [s + r for r in range(p)]
-    # reduced-cost row for the artificial objective: column sums minus costs
-    obj = [sum(tab[r][j] for r in range(p)) - (1 if j >= s else 0) for j in range(total)]
-    obj_rhs = sum(rhs)
+    d = 1
     while True:
-        enter = next((j for j in range(total) if obj[j] > 0), None)
+        enter = next((j for j in range(total) if tab[obj][j] > 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for r in range(p):
             coeff = tab[r][enter]
             if coeff > 0:
-                ratio = tab[r][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
+                if leave is None:
+                    leave = r
+                    continue
+                # ratio test by cross-multiplication; both pivots are positive
+                ratio = tab[r][-1] * tab[leave][enter]
+                best = tab[leave][-1] * coeff
+                if ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    leave = r
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded")  # cannot happen: bounded by 0
-        pivot = tab[leave][enter]
-        tab[leave] = [v / pivot for v in tab[leave]]
-        for r in range(p):
-            if r != leave and tab[r][enter] != 0:
-                factor = tab[r][enter]
-                tab[r] = [v - factor * w for v, w in zip(tab[r], tab[leave])]
-        factor = obj[enter]
-        obj = [v - factor * w for v, w in zip(obj, tab[leave][:total])]
-        obj_rhs -= factor * tab[leave][-1]
+        pivot_row = tab[leave]
+        pivot = pivot_row[enter]
+        for r, row in enumerate(tab):
+            if r != leave:
+                factor = row[enter]
+                tab[r] = [(pivot * v - factor * w) // d for v, w in zip(row, pivot_row)]
+        d = pivot
         basis[leave] = enter
-    if obj_rhs != 0:
+    if tab[obj][-1] != 0:
         return None
-    x = [Fraction(0)] * s
+    x: list[int | Fraction] = [0] * s
     for r, var in enumerate(basis):
         if var < s:
-            x[var] = tab[r][-1]
+            x[var] = Fraction(tab[r][-1], d)
     return x
 
 
-def _solve_support(subsets: list[Subset], n: int, mu: Fraction):
-    """Nonnegative solution of the per-server equalities on this support,
-    or None. Propagation first; simplex only on the undecided remainder."""
-    state = _propagate(subsets, n, mu)
+def _solve_support(subsets: list[Subset], n: int, side: int):
+    """Nonnegative solution of the per-server equalities (budget side/N)
+    on this support, or None. Propagation first, simplex only on the
+    undecided remainder, both in units of 1/N; scaled back once here."""
+    state = _propagate(subsets, n, side)
     if state is None:
         return None
     alpha, remaining = state
     open_idx = [j for j, v in enumerate(alpha) if v is None]
-    if not open_idx:
-        if any(remaining):
+    if open_idx:
+        live_servers = [i for i in range(n) if any(i + 1 in subsets[j] for j in open_idx)]
+        rows = [[int(i + 1 in subsets[j]) for j in open_idx] for i in live_servers]
+        solution = _phase1_simplex(rows, [remaining[i] for i in live_servers])
+        if solution is None:
             return None
-        return alpha
-    live_servers = [i for i in range(n) if any(i + 1 in subsets[j] for j in open_idx)]
-    rows = [[Fraction(int(i + 1 in subsets[j])) for j in open_idx] for i in live_servers]
-    rhs = [remaining[i] for i in live_servers]
-    solution = _phase1_simplex(rows, rhs)
-    if solution is None:
+        for j, value in zip(open_idx, solution):
+            alpha[j] = value
+    elif any(remaining):
         return None
-    for j, value in zip(open_idx, solution):
-        alpha[j] = value
-    return alpha
+    return [Fraction(v) / n for v in alpha]
 
 
 def _as_subsets(candidate, n: int, m: int) -> list[Subset]:
@@ -195,7 +209,7 @@ def lp_feasible(candidate, n: int, m: int) -> FeasibilityResult:
     already have been found at the smaller size.
     """
     subsets = _as_subsets(candidate, n, m)
-    solution = _solve_support(subsets, n, Fraction(m, n))
+    solution = _solve_support(subsets, n, m)
     if solution is None:
         return FeasibilityResult(False, None)
     witness = {s: v for s, v in zip(subsets, solution) if v > 0}
@@ -259,12 +273,11 @@ def min_eta_star(n: int, m: int):
     _check_scale(n, m)
     dual = 2 * m > n and n - m >= 2
     side = n - m if dual else m
-    mu = Fraction(side, n)
     tried = 0
     for size in range(eta_lower_bound(n, m), MAX_CAP + 1):
         for candidate in _canonical_supports(n, side, size):
             tried += 1
-            solution = _solve_support(candidate, n, mu)
+            solution = _solve_support(candidate, n, side)
             if solution is not None:
                 witness = {s: v for s, v in zip(candidate, solution) if v > 0}
                 return size, (_complement(witness, n) if dual else witness)

@@ -71,14 +71,20 @@ class GroupStorage:
         return len(self.packets)
 
 
-def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
-    """Queries for servers 0..M-1: the base vector with coordinate theta
-    (1-based) shifted by the server index modulo M."""
+def _check_round(theta: int, base: tuple[int, ...], m: int) -> None:
+    """Raise ValueError unless theta is a 1-based file index into base and
+    every base entry lies in 0..M-1."""
     k = len(base)
     if not 1 <= theta <= k:
         raise ValueError(f"theta={theta} out of range 1..{k}")
     if any(not 0 <= q < m for q in base):
         raise ValueError(f"base vector {base} has entries outside 0..{m - 1}")
+
+
+def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """Queries for servers 0..M-1: the base vector with coordinate theta
+    (1-based) shifted by the server index modulo M."""
+    _check_round(theta, base, m)
     queries = []
     for server in range(m):
         vec = list(base)
@@ -108,14 +114,14 @@ def decode(theta: int, base: tuple[int, ...], answers: list[Answer]) -> list[byt
     yields the wanted packets in index order.
     """
     m = len(answers)
-    queries = make_queries(theta, base, m)  # also validates theta and base
+    _check_round(theta, base, m)
     holder = (m - 1 - base[theta - 1]) % m
     expect_silent = all(q == m - 1 for i, q in enumerate(base) if i != theta - 1)
     for server, reply in enumerate(answers):
         should = server == holder and expect_silent
         if reply.silent != should:
             raise ProtocolViolation(
-                f"server {server} with query {queries[server]} "
+                f"server {server} with query {make_queries(theta, base, m)[server]} "
                 f"{'stayed silent' if reply.silent else 'answered'} unexpectedly"
             )
     interference = DUMMY if answers[holder].silent else answers[holder].payload

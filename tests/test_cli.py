@@ -295,6 +295,18 @@ def test_overflow_exits_two(capsys, monkeypatch):
     assert stderr == "error: int too large to convert to C int\n"
 
 
+def test_recursion_error_exits_two(capsys, monkeypatch):
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("scpir.cli.cmd_analyze", too_deep)
+    code, stdout, stderr = run(capsys, "analyze", "--n-max", "5")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: maximum recursion depth exceeded\n"
+    assert "Traceback" not in stderr
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "--n", "12"])

@@ -79,12 +79,18 @@ class TestDecode:
             assert decode(1, (q,), answers) == [b"\xaa", b"\xbb"]
 
     def test_unexpected_silence_is_a_violation(self):
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolViolation, match=r"^server 1 with query \(1, 0\) stayed silent unexpectedly$"):
             decode(1, (0, 0), [Answer(b"\x33"), SILENT])
 
     def test_missing_silence_is_a_violation(self):
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(ProtocolViolation, match=r"^server 1 with query \(1, 1\) answered unexpectedly$"):
             decode(1, (0, 1), [Answer(b"\x11"), Answer(b"\x00")])
+
+    def test_rejects_bad_theta_and_base(self):
+        with pytest.raises(ValueError, match=r"^theta=3 out of range 1\.\.2$"):
+            decode(3, (0, 0), [Answer(b"\x33"), Answer(b"\x22")])
+        with pytest.raises(ValueError, match=r"^base vector \(0, 2\) has entries outside 0\.\.1$"):
+            decode(1, (0, 2), [Answer(b"\x33"), Answer(b"\x22")])
 
     def test_mixed_lengths_are_a_violation(self):
         with pytest.raises(ProtocolViolation):
