@@ -66,7 +66,7 @@ class FeasibilityResult:
 
 def _propagate(subsets: list[Subset], n: int, side: int):
     """Unit propagation on the per-server equality constraints, in integer
-    units of 1/N: every server's budget M/N is `side` units.
+    units of 1/N: every server's budget, side/N, is `side` units.
 
     Returns (alpha, remaining) where alpha[j] is a decided value or None,
     and remaining[i] is server i+1's still-unassigned budget; returns None
@@ -121,14 +121,13 @@ def _phase1_simplex(rows: list[list[int]], rhs: list[int]):
     s = len(rows[0]) if p else 0
     total = s + p
     tab = [rows[r] + [int(i == r) for i in range(p)] + [rhs[r]] for r in range(p)]
-    # reduced-cost row for the artificial objective: column sums minus costs,
-    # so 0 on the artificials; its last entry is the objective's value
+    # last row: reduced costs of the artificial objective, column sums minus
+    # costs, so 0 on the artificials; its last entry is the objective's value
     tab.append([sum(col) for col in zip(*rows)] + [0] * p + [sum(rhs)])
-    obj = p
     basis = [s + r for r in range(p)]
     d = 1
     while True:
-        enter = next((j for j in range(total) if tab[obj][j] > 0), None)
+        enter = next((j for j in range(total) if tab[-1][j] > 0), None)
         if enter is None:
             break
         leave = None
@@ -153,7 +152,7 @@ def _phase1_simplex(rows: list[list[int]], rhs: list[int]):
                 tab[r] = [(pivot * v - factor * w) // d for v, w in zip(row, pivot_row)]
         d = pivot
         basis[leave] = enter
-    if tab[obj][-1] != 0:
+    if tab[-1][-1] != 0:
         return None
     x: list[int | Fraction] = [0] * s
     for r, var in enumerate(basis):
