@@ -6,21 +6,29 @@ rational identity; there are no tolerances anywhere. Each check records
 what was measured and what was expected, so a report line is a complete
 claim on its own.
 
-Each audit enumerates only the statistic that decides it. Groups draw
-independent base vectors, `answer` is a deterministic function of (query,
-stored packets), and the query builder never sees the group. So a
-server's view is decided by one (M, K) round's query multiset, a group's
-download by its count of non-silent answers, and a retrieval by its
-per-group decodes, since regions concatenate. The protocol is also
-linear: every answer and every decoded packet is an XOR of stored packets
-with 0/1 coefficients fixed by (theta, base) alone. On the one-hot basis,
-where packet i of file f+1 is the single bit f*(M-1)+i, an answer's
-payload is its coefficient row, and a round that decodes the basis
-decodes every group of every library. Every round-level audit walks the
-same K*M^K (theta, base) rounds, refused up front when their K*M^(K+1)
-queries are over budget. Those rounds hold only M^K distinct queries, so
-the walk answers each once on the basis and replays the reply from a memo
-that ends with the walk.
+Each audit enumerates only the statistic that decides it, and groups run
+independently, so one (M, K) round stands for every group: each group
+draws its own base vector, the query builder never sees the group, and
+`answer` is a deterministic function of (query, stored packets). Hence
+
+* a server's view in a group is its round's query multiset, and a server
+  in several groups sees independent rounds, so equal per-round views
+  give equal joint views;
+* a group's download is its packet size times its round's non-silent
+  answers, since silence depends on the query alone and every other
+  answer carries one packet;
+* a retrieval decodes exactly when every group round does, since the
+  regions concatenate.
+
+The protocol is also linear: every answer and every decoded packet is an
+XOR of stored packets with 0/1 coefficients fixed by (theta, base) alone.
+On the one-hot basis, where packet i of file f+1 is the single bit
+f*(M-1)+i, an answer's payload is its coefficient row, and a round that
+decodes the basis decodes every group of every library. Every round-level
+audit walks the same K*M^K (theta, base) rounds, refused up front when
+their K*M^(K+1) queries are over budget. Those rounds hold only M^K
+distinct queries, so the walk answers each once on the basis and replays
+the reply from a memo that ends with the walk.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -157,12 +165,8 @@ def _basis_rounds(basis: sfpir.GroupStorage, query_fn=make_queries):
 def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_queries) -> AuditCheck:
     """Per server position, the multiset of received queries over all M^K
     base vectors must be the same for every wanted file as for file 1.
-
-    This is the server's whole view: its answer is a function of the
-    query and its storage alone, so equal query multisets give equal
-    (query, answer) multisets. The queries do not depend on the group, so
-    one (M, K) round covers every group, and a server in several groups
-    sees independent rounds, so its joint view is identical too.
+    That one (M, K) round decides every server's whole view, in every
+    group and jointly over its groups (see the module docstring).
     """
     mismatches = []  # (position, file) whose view differs from file 1's
     reference = None  # only file 1's views and the current file's are held
@@ -189,14 +193,12 @@ def correctness_audit(
 ) -> AuditCheck:
     """Every wanted file decodes exactly, for every realization.
 
-    Every decoded packet is an XOR of stored packets with 0/1
-    coefficients fixed by (theta, base), and on the one-hot basis each
-    stored packet is its own bit. So every (theta, base) round is decoded
-    once on the basis: returning theta's basis packets proves that round
-    exact for every group and every library. Real bytes then check the
-    slicing: the assembled retrieval of each file at base (0,)*K, with
-    each of its group rounds decoded again after `tamper(group,
-    server_pos, answer)`, which lets tests corrupt an answer.
+    Every (theta, base) round is decoded once on the one-hot basis, where
+    returning theta's basis packets proves that round exact for every
+    group and every library (see the module docstring). Real bytes then
+    check the slicing: the assembled retrieval of each file at base
+    (0,)*K, with each of its group rounds decoded again after
+    `tamper(group, server_pos, answer)`, which lets tests corrupt an answer.
     """
     failures = runs = 0
     first = ""
@@ -241,11 +243,9 @@ def correctness_audit(
 def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
     """The enumerated average download must equal the closed form
     L * (1 + 1/M + ... + 1/M^(K-1)) exactly, for every wanted file.
-
-    Whether a server stays silent depends on its query alone, and every
-    other answer carries one packet of its group, so a group's download
-    is its packet size times the non-silent answers of one (M, K) round.
-    That count is taken once per file, on the one-hot basis.
+    A group's download is its packet size times one (M, K) round's
+    non-silent answers (see the module docstring), counted once per file
+    on the one-hot basis.
     """
     k, m = library.k_files, layout.m
     expected = average_download(layout, k)

@@ -21,6 +21,7 @@ from .scheme import (
     minimal_length,
     plan_storage,
     random_library,
+    require_retrieval_params,
     retrieve,
 )
 from .sfpir import random_base_vector
@@ -76,6 +77,9 @@ def transcript_record(n: int, m: int, k: int, transcript: RetrievalTranscript, m
 
 
 def cmd_simulate(args) -> int:
+    if args.k < 1:  # theta's range 1..K is empty: refuse K first, as `audit` does
+        sda.require_params(args.n, args.m)
+        require_retrieval_params(args.m, args.k)
     if args.theta < 1 or args.theta > args.k:
         raise ValueError(f"theta must be in 1..{args.k} (indices are 1-based)")
     if args.l_mult < 1:

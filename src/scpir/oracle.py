@@ -33,7 +33,6 @@ Instances are hard-capped at N <= 8; the combinatorics explode beyond that
 and these solvers exist to certify bounds, not to scale.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -47,16 +46,6 @@ MAX_CAP = 12
 
 class OracleBudgetError(RuntimeError):
     """Raised when the requested search exceeds the desk-scale budget."""
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    witness: dict[Subset, Fraction] | None
-
-    def __post_init__(self):
-        if self.feasible and not self.witness:
-            raise ValueError("feasible result needs a witness")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +153,9 @@ def _phase1_simplex(rows: list[list[int]], rhs: list[int]):
 def _solve_support(subsets: list[Subset], n: int, side: int):
     """Nonnegative solution of the per-server equalities (budget side/N)
     on this support, or None. Propagation first, simplex only on the
-    undecided remainder, both in units of 1/N; scaled back once here."""
+    undecided remainder, both in units of 1/N; scaled back once here.
+    Propagation already rejects a server left with budget but no undecided
+    group, so a fully decided support needs no further check."""
     state = _propagate(subsets, n, side)
     if state is None:
         return None
@@ -178,8 +169,6 @@ def _solve_support(subsets: list[Subset], n: int, side: int):
             return None
         for j, value in zip(open_idx, solution):
             alpha[j] = value
-    elif any(remaining):
-        return None
     return [Fraction(v) / n for v in alpha]
 
 
@@ -197,9 +186,10 @@ def _as_subsets(candidate, n: int, m: int) -> list[Subset]:
     return subsets
 
 
-def lp_feasible(candidate, n: int, m: int) -> FeasibilityResult:
+def lp_feasible(candidate, n: int, m: int) -> dict[Subset, Fraction] | None:
     """Decide whether the per-server budget equalities admit a nonnegative
-    solution supported on the candidate groups.
+    solution supported on the candidate groups: a witness mapping groups to
+    their fractions if so, None if not.
 
     Zero entries of the vertex solution are dropped from the witness, so a
     feasible witness is strictly positive on a (possibly smaller) support.
@@ -210,9 +200,8 @@ def lp_feasible(candidate, n: int, m: int) -> FeasibilityResult:
     subsets = _as_subsets(candidate, n, m)
     solution = _solve_support(subsets, n, m)
     if solution is None:
-        return FeasibilityResult(False, None)
-    witness = {s: v for s, v in zip(subsets, solution) if v > 0}
-    return FeasibilityResult(True, witness)
+        return None
+    return {s: v for s, v in zip(subsets, solution) if v > 0}
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,12 @@ def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
     """Turn a group-fraction assignment into a packet layout and a
     per-server storage plan.
 
-    Groups receive contiguous file regions in assignment order. Raises
-    ValueError when file_len is not a multiple of the layout granularity
-    or alpha fails `check`, its one check: alpha may come from an array,
-    an oracle witness or a hand-built dict.
+    Groups receive contiguous file regions in assignment order. alpha is
+    valid by construction, whether it came from an array, an oracle
+    witness or a hand-built dict. Raises ValueError when M < 2, K < 1,
+    file_len is not a multiple of the layout granularity, or a fraction is
+    not a multiple of gcd(N,M)/N.
     """
-    alpha.check()
     n, m = alpha.n, alpha.m
     require_retrieval_params(m, k)
     base = minimal_length(n, m)
@@ -153,7 +153,7 @@ def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
     offset = 0
     for servers, fraction in alpha.entries.items():
         # a region of multiplicity * gcd(N,M)/N of the file splits into M-1
-        # packets of multiplicity * file_len/base symbols each; the checked
+        # packets of multiplicity * file_len/base symbols each; the
         # fractions sum to 1, so the regions cover the file
         multiplicity, rest = divmod(fraction.numerator * n, fraction.denominator * g)
         if rest:
@@ -233,8 +233,3 @@ def average_download(layout: PacketLayout, k: int) -> Fraction:
     (1 + 1/M + ... + 1/M^(K-1)) * L, i.e. file length over capacity."""
     overhead = sum(Fraction(1, layout.m**i) for i in range(k))
     return sum((overhead * region.group_bytes for region in layout.groups), Fraction(0))
-
-
-def subpacketization(layout: PacketLayout) -> int:
-    """Packets per file: groups times M-1."""
-    return len(layout.groups) * (layout.m - 1)

@@ -16,9 +16,9 @@ here:
 
 Everything is pure and exact; alpha values are `fractions.Fraction`.
 
-Each fact is checked once: `_freeze` validates every array this module
-makes, so the functions that read an array trust it, and an alpha is
-checked where it is consumed, in `scheme.plan_storage`.
+Arrays and alphas are valid by construction: `StorageDesignArray` runs
+`validate` and `AlphaAssignment` runs `check` when made, so each fact is
+checked once, and every function that reads one trusts it.
 """
 
 import re
@@ -33,11 +33,15 @@ Columns = tuple[tuple[int, ...], ...]
 @dataclass(frozen=True)
 class StorageDesignArray:
     """An (N, M) array as its column sequence: column_sets[j] is the sorted
-    tuple of 1-based servers starred in column j."""
+    tuple of 1-based servers starred in column j. Construction raises
+    ValueError unless the array passes `validate`."""
 
     n: int
     m: int
     column_sets: Columns
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def columns(self) -> int:
@@ -64,12 +68,16 @@ class AlphaAssignment:
 
     entries preserves group order (first occurrence in the source array).
     Every subset has size m, every value is a positive rational, each
-    server's values sum to exactly m/n, and the whole map sums to 1.
+    server's values sum to exactly m/n, and the whole map sums to 1;
+    construction raises ValueError unless `check` passes.
     """
 
     n: int
     m: int
     entries: dict[tuple[int, ...], Fraction]
+
+    def __post_init__(self):
+        self.check()
 
     def check(self) -> None:
         """Raise ValueError if any invariant fails."""
@@ -104,18 +112,18 @@ def require_params(n: int, m: int) -> None:
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
 
 
-def validate(sda: StorageDesignArray) -> str | None:
-    """Check the column/row star counts; None if fine, else the first violation.
-
-    Raises ValueError when the array does not have N/gcd(N,M) columns, each
-    a sorted tuple of distinct servers in 1..N, to begin with.
-    """
+def validate(sda: StorageDesignArray) -> None:
+    """Raise ValueError unless the array has N/gcd(N,M) columns, each a
+    sorted tuple of exactly M distinct servers in 1..N, and stars every
+    server in exactly M/gcd(N,M) columns. A star-count message names the
+    first violation."""
     require_params(sda.n, sda.m)
     g = gcd(sda.n, sda.m)
     if sda.columns != sda.n // g:
         raise ValueError(f"array has {sda.columns} columns, expected {sda.n // g}")
     # repeated columns share one check; the first bad one in first-occurrence
     # order is also the first bad column in column order
+    invalid = f"not a valid ({sda.n},{sda.m}) storage design array: "
     counts = Counter(sda.column_sets)
     stars = [0] * (sda.n + 1)
     for column, count in counts.items():
@@ -126,26 +134,26 @@ def validate(sda: StorageDesignArray) -> str | None:
             raise ValueError(f"column {j} is not a sorted tuple of distinct servers in 1..{sda.n}")
         if len(column) != sda.m:
             j = sda.column_sets.index(column) + 1
-            return f"column {j} has {len(column)} stars, expected {sda.m}"
+            raise ValueError(invalid + f"column {j} has {len(column)} stars, expected {sda.m}")
         for s in column:
             stars[s] += count
     per_row = sda.m // g
     for server in range(1, sda.n + 1):
         if stars[server] != per_row:
-            return f"row {server} has {stars[server]} stars, expected {per_row}"
-    return None
+            problem = f"row {server} has {stars[server]} stars, expected {per_row}"
+            raise ValueError(invalid + problem)
 
 
 def column_profile(sda: StorageDesignArray) -> ColumnProfile:
     """Distinct columns (as 1-based server subsets) in first-occurrence
-    order, read from an array that `_freeze` already validated."""
+    order."""
     counts = Counter(sda.column_sets)
     return ColumnProfile(sda.n, sda.m, tuple(counts), tuple(counts.values()))
 
 
 def alpha_from_profile(profile: ColumnProfile) -> AlphaAssignment:
-    """Per-group file fractions: multiplicity * gcd(N,M)/N for each group.
-    Left unchecked, since a profile of a valid array gives a valid alpha."""
+    """Per-group file fractions: multiplicity * gcd(N,M)/N for each group,
+    checked once, as the assignment is made."""
     g = gcd(profile.n, profile.m)
     entries = {
         subset: Fraction(count * g, profile.n)
@@ -159,20 +167,12 @@ def alpha_from_profile(profile: ColumnProfile) -> AlphaAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _freeze(n: int, m: int, columns) -> StorageDesignArray:
-    array = StorageDesignArray(n, m, tuple(columns))
-    if (problem := validate(array)) is not None:
-        raise ValueError(f"not a valid ({n},{m}) storage design array: {problem}")
-    return array
-
-
 def build_equal_size(n: int, m: int) -> StorageDesignArray:
     """Array whose column j stars the cyclic window of M servers starting
     at (j-1)*M mod N; all N/gcd(N,M) columns are distinct."""
     require_params(n, m)
-    return _freeze(
-        n, m, (tuple(sorted((j * m + i) % n + 1 for i in range(m))) for j in range(n // gcd(n, m)))
-    )
+    windows = (tuple(sorted((j * m + i) % n + 1 for i in range(m))) for j in range(n // gcd(n, m)))
+    return StorageDesignArray(n, m, tuple(windows))
 
 
 def build_greedy(n: int, m: int) -> StorageDesignArray:
@@ -209,7 +209,7 @@ def build_greedy(n: int, m: int) -> StorageDesignArray:
             tail = tuple(range(shift + b + 1, shift + a + 1)) + tail
             a, b = b, 2 * b - a
     columns.append(stacked((shift + 1,) + tail))
-    return _freeze(n, m, columns)
+    return StorageDesignArray(n, m, tuple(columns))
 
 
 def eta_recursion(n: int, m: int) -> int:
@@ -254,18 +254,17 @@ def build_q_array(m: int) -> StorageDesignArray:
     columns += [band + bottom[:t] + bottom[t + 1 :] for t in range(half)] * 2
     top = spread * (m - half)
     columns += [tuple(range(c, top + 1, spread)) + bottom for c in range(1, spread + 1)]
-    return _freeze(n, m, columns)
+    return StorageDesignArray(n, m, tuple(columns))
 
 
 def opposite(sda: StorageDesignArray) -> StorageDesignArray:
     """Swap stars and blanks: an (N, M) array becomes an (N, N-M) array with
-    the same distinct-column count; only the result is validated."""
+    the same distinct-column count."""
     if sda.m == sda.n:
         raise ValueError("opposite of a full-replication array has empty columns")
     servers = frozenset(range(1, sda.n + 1))
-    return _freeze(
-        sda.n, sda.n - sda.m, (tuple(sorted(servers.difference(c))) for c in sda.column_sets)
-    )
+    flipped = (tuple(sorted(servers.difference(c))) for c in sda.column_sets)
+    return StorageDesignArray(sda.n, sda.n - sda.m, tuple(flipped))
 
 
 def improved_family(n: int, m: int) -> tuple[int, bool, int] | None:
@@ -300,7 +299,7 @@ def build_improved(n: int, m: int) -> StorageDesignArray:
         columns += [tuple(range(block * m + 1, block * m + m + 1))] * m
     offset = (d - 2) * m
     columns += [tuple(s + offset for s in column) for column in tail.column_sets]
-    return _freeze(n, m, columns)
+    return StorageDesignArray(n, m, tuple(columns))
 
 
 def eta_lower_bound(n: int, m: int) -> int:
@@ -368,4 +367,4 @@ def parse_sda(text: str) -> StorageDesignArray:
             raise ValueError(f"row {server} contains characters other than '*' and '.'")
         for star in re.finditer(r"\*", line):
             columns[star.start()].append(server)
-    return _freeze(n, m, map(tuple, columns))
+    return StorageDesignArray(n, m, tuple(map(tuple, columns)))

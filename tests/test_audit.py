@@ -194,7 +194,7 @@ def large_greedy_instances(draw):
 def test_greedy_plans_exact_to_10k(instance):
     n, m, k = instance
     array = sda.build_greedy(n, m)
-    assert sda.validate(array) is None
+    sda.validate(array)
     profile = sda.column_profile(array)
     assert profile.eta == sda.eta_recursion(n, m)
     alpha = sda.alpha_from_profile(profile)
@@ -217,18 +217,28 @@ class TestConditionsAudit:
         assert "retrieved-independence" in check.detail
 
     def test_fails_on_shifted_unwanted_coordinate(self):
-        def shifted_unwanted(theta, base, m):
-            """Server 1's coordinate of the file after theta moves by one."""
-            queries = make_queries(theta, base, m)
-            other = theta % len(base)
-            moved = queries[1][:other] + ((queries[1][other] + 1) % m,) + queries[1][other + 1 :]
-            return [queries[0], moved] + queries[2:]
-
         for m, k in [(2, 3), (3, 3), (3, 4)]:
             check = conditions_audit(m, k, query_fn=shifted_unwanted)
             assert not check.passed, (m, k)
             assert "residual-identity" in check.detail
             assert check.measured == per_file_violations(m, k, shifted_unwanted), (m, k)
+
+    @pytest.mark.parametrize(
+        "m, k", [(2, 2), (2, 5), (2, 7), (3, 2), (3, 4), (4, 3), (5, 2), (5, 3)]
+    )
+    def test_count_matches_long_way(self, m, k):
+        builders = (make_queries, queries_duplicate_shift, queries_missing_offset, shifted_unwanted)
+        for query_fn in builders:
+            check = conditions_audit(m, k, query_fn=query_fn)
+            assert check.measured == per_file_violations(m, k, query_fn), query_fn.__name__
+
+
+def shifted_unwanted(theta, base, m):
+    """Faulty builder: server 1's coordinate of the file after theta moves by one."""
+    queries = make_queries(theta, base, m)
+    other = theta % len(base)
+    moved = queries[1][:other] + ((queries[1][other] + 1) % m,) + queries[1][other + 1 :]
+    return [queries[0], moved] + queries[2:]
 
 
 def per_file_violations(m, k, query_fn):

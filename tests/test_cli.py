@@ -246,6 +246,14 @@ class TestAnalyze:
         assert "n-max must be at least 2" in stderr
 
 
+@pytest.mark.parametrize("command", [["simulate", "--theta", "1"], ["audit"]])
+def test_no_files_refused(capsys, command):
+    code, stdout, stderr = run(capsys, command[0], "--n", "2", "--m", "2", "--k", "0", *command[1:])
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: need at least one file, got K=0\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -19,48 +20,45 @@ def reference_eta_star(n, m):
     lp_feasible; the smallest feasible size."""
     universe = list(combinations(range(1, n + 1), m))
     for size in range(1, len(universe) + 1):
-        if any(lp_feasible(c, n, m).feasible for c in combinations(universe, size)):
+        if any(lp_feasible(c, n, m) is not None for c in combinations(universe, size)):
             return size
 
 
 class TestLpFeasible:
     def test_perfect_matching(self):
-        result = lp_feasible([(1, 2), (3, 4)], 4, 2)
-        assert result.feasible
-        assert result.witness == {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 2)}
+        witness = lp_feasible([(1, 2), (3, 4)], 4, 2)
+        assert witness == {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 2)}
 
     def test_uncovered_servers(self):
-        result = lp_feasible([(1, 2)], 4, 2)
-        assert not result.feasible
-        assert result.witness is None
+        assert lp_feasible([(1, 2)], 4, 2) is None
 
     def test_known_six_group_support(self):
         support = [(1, 2, 3, 4), (5, 6, 7, 8), (5, 6, 7, 9), (5, 6, 8, 9), (5, 7, 8, 9), (6, 7, 8, 9)]
-        result = lp_feasible(support, 9, 4)
-        assert result.feasible
-        assert result.witness[(1, 2, 3, 4)] == Fraction(4, 9)
-        assert all(result.witness[s] == Fraction(1, 9) for s in support[1:])
+        witness = lp_feasible(support, 9, 4)
+        assert witness is not None
+        assert witness[(1, 2, 3, 4)] == Fraction(4, 9)
+        assert all(witness[s] == Fraction(1, 9) for s in support[1:])
 
     def test_forced_zero_is_dropped_from_witness(self):
         # {1,3} can only take weight 0 once {1,2} and {3,4} are pinned
-        result = lp_feasible([(1, 2), (3, 4), (1, 3)], 4, 2)
-        assert result.feasible
-        assert (1, 3) not in result.witness
+        witness = lp_feasible([(1, 2), (3, 4), (1, 3)], 4, 2)
+        assert witness is not None
+        assert (1, 3) not in witness
 
     def test_witness_meets_assignment_invariants(self):
         support = list(combinations(range(1, 6), 4))
-        result = lp_feasible(support, 5, 4)
-        assert result.feasible
-        sda.AlphaAssignment(5, 4, dict(result.witness)).check()
+        witness = lp_feasible(support, 5, 4)
+        assert witness is not None
+        sda.AlphaAssignment(5, 4, dict(witness)).check()
 
     def test_monotone_under_adding_groups(self):
         rng = random.Random(99)
         universe = list(combinations(range(1, 7), 3))
         for _ in range(60):
             support = rng.sample(universe, rng.randrange(2, 7))
-            if lp_feasible(support, 6, 3).feasible:
+            if lp_feasible(support, 6, 3) is not None:
                 extra = rng.choice([s for s in universe if s not in support])
-                assert lp_feasible(support + [extra], 6, 3).feasible
+                assert lp_feasible(support + [extra], 6, 3) is not None
 
     @settings(deadline=None)
     @given(st.data())
@@ -76,13 +74,13 @@ class TestLpFeasible:
         def flip(s):
             return tuple(i for i in range(1, n + 1) if i not in s)
 
-        result = lp_feasible(support, n, m)
+        witness = lp_feasible(support, n, m)
         relabeled = lp_feasible([[perm[i - 1] for i in s] for s in support], n, m)
-        assert relabeled.feasible == result.feasible
+        assert (relabeled is None) == (witness is None)
         if n - m >= 2:
-            assert lp_feasible([flip(s) for s in support], n, n - m).feasible == result.feasible
-            if result.feasible:
-                flipped = {flip(s): v for s, v in result.witness.items()}
+            assert (lp_feasible([flip(s) for s in support], n, n - m) is None) == (witness is None)
+            if witness is not None:
+                flipped = {flip(s): v for s, v in witness.items()}
                 sda.AlphaAssignment(n, n - m, flipped).check()
 
     @settings(deadline=None)
@@ -95,11 +93,11 @@ class TestLpFeasible:
         groups = st.lists(st.sampled_from(universe), min_size=1, max_size=10, unique=True)
         support = data.draw(groups, label="support")
         shuffled = data.draw(st.permutations(support), label="shuffled")
-        results = [lp_feasible(support, n, m), lp_feasible(shuffled, n, m)]
-        assert results[0].feasible == results[1].feasible
-        for result in results:
-            if result.feasible:
-                sda.AlphaAssignment(n, m, dict(result.witness)).check()
+        witnesses = [lp_feasible(support, n, m), lp_feasible(shuffled, n, m)]
+        assert (witnesses[0] is None) == (witnesses[1] is None)
+        for witness in witnesses:
+            if witness is not None:
+                sda.AlphaAssignment(n, m, dict(witness)).check()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -108,6 +106,9 @@ class TestLpFeasible:
             lp_feasible([(1, 2), (1, 2)], 4, 2)
         with pytest.raises(ValueError):
             lp_feasible([(1, 2, 3)], 4, 2)
+        message = "candidate group (1, 5) has a server outside 1..4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lp_feasible([(1, 5)], 4, 2)
 
 
 def test_witnesses_pinned():

@@ -8,19 +8,29 @@ import pytest
 
 from scpir import sda
 from scpir.scheme import (
+    FileLibrary,
     average_download,
     group_storage,
     minimal_length,
     plan_storage,
     random_library,
     retrieve,
-    subpacketization,
 )
 from scpir.sfpir import enumerate_realizations, random_base_vector
 
 
 def greedy_alpha(n, m):
     return sda.alpha_from_profile(sda.column_profile(sda.build_greedy(n, m)))
+
+
+class TestFileLibrary:
+    def test_rejects_wrong_file_count(self):
+        with pytest.raises(ValueError, match="expected 2 files, got 1"):
+            FileLibrary(2, 3, (b"abc",))
+
+    def test_rejects_wrong_file_length(self):
+        with pytest.raises(ValueError, match="every file must have exactly 3 symbols"):
+            FileLibrary(2, 3, (b"abc", b"ab"))
 
 
 class TestMinimalLength:
@@ -87,8 +97,8 @@ class TestPlanStorage:
         assert calls == {"validate": 1, "check": 1}
 
     def test_rejects_alpha_with_bad_sums(self):
-        broken = sda.AlphaAssignment(4, 2, {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 4)})
         with pytest.raises(ValueError, match="do not sum to 1"):
+            broken = sda.AlphaAssignment(4, 2, {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 4)})
             plan_storage(broken, k=2, file_len=minimal_length(4, 2))
 
 
@@ -181,12 +191,12 @@ class TestAverageDownload:
 class TestSubpacketization:
     def test_greedy_vs_equal_12_5(self):
         greedy, _ = plan_storage(greedy_alpha(12, 5), k=2, file_len=48)
-        assert subpacketization(greedy) == 24
+        assert len(greedy.groups) * (greedy.m - 1) == 24
         equal_alpha = sda.alpha_from_profile(sda.column_profile(sda.build_equal_size(12, 5)))
         equal, _ = plan_storage(equal_alpha, k=2, file_len=48)
-        assert subpacketization(equal) == 48
+        assert len(equal.groups) * (equal.m - 1) == 48
 
     def test_full_replication(self):
         for n in (2, 5, 8):
             layout, _ = plan_storage(greedy_alpha(n, n), k=2, file_len=n - 1)
-            assert subpacketization(layout) == n - 1
+            assert len(layout.groups) * (layout.m - 1) == n - 1

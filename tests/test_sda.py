@@ -2,6 +2,7 @@
 closed-form counts they must hit."""
 
 import hashlib
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -101,25 +102,36 @@ def rows_of(array):
 class TestValidate:
     def test_known_good_array(self):
         array = sda.parse_sda("9 4\n" + "\n".join(GREEDY_9_4))
-        assert sda.validate(array) is None
+        sda.validate(array)
 
     def test_column_violation_reported_first(self):
         identity = ((1,), (2,), (3,))
-        bad = sda.StorageDesignArray(3, 2, identity)
-        assert sda.validate(bad) == "column 1 has 1 stars, expected 2"
+        message = "not a valid (3,2) storage design array: column 1 has 1 stars, expected 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sda.StorageDesignArray(3, 2, identity)
 
     def test_full_replication_single_column(self):
         array = sda.build_greedy(7, 7)
         assert array.columns == 1  # gcd(7,7)=7
-        assert sda.validate(array) is None
+        sda.validate(array)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
-            sda.validate(sda.StorageDesignArray(3, 2, ((1, 2),) * 2))
+            sda.StorageDesignArray(3, 2, ((1, 2),) * 2)
 
     def test_row_violation(self):
         columns = ((1, 2), (2, 3), (2, 3))
-        assert sda.validate(sda.StorageDesignArray(3, 2, columns)).startswith("row")
+        with pytest.raises(ValueError, match=r"storage design array: row"):
+            sda.StorageDesignArray(3, 2, columns)
+
+    def test_non_canonical_column(self):
+        message = "column 1 is not a sorted tuple of distinct servers in 1..3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sda.StorageDesignArray(3, 2, ((2, 1), (2, 3), (1, 3)))
+
+    def test_hand_built_invalid_array_refused(self):
+        with pytest.raises(ValueError, match="column 1 has 1 stars, expected 2"):
+            sda.StorageDesignArray(3, 2, ((1,), (2,), (5,)))
 
 
 class TestColumnProfile:
@@ -156,9 +168,24 @@ class TestAlphaAssignment:
         assert alpha.entries == {(1, 2, 3, 4, 5): Fraction(1)}
 
     def test_invariant_checker_rejects_bad_sums(self):
-        broken = sda.AlphaAssignment(4, 2, {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 4)})
         with pytest.raises(ValueError):
-            broken.check()
+            sda.AlphaAssignment(4, 2, {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 4)})
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(1, 1): Fraction(1)}, "group (1, 1) does not have 2 distinct servers"),
+            ({(1, 5): Fraction(1)}, "group (1, 5) has a server outside 1..4"),
+            ({(1, 2): Fraction(0), (3, 4): Fraction(1)}, "group (1, 2) has non-positive size 0"),
+            (
+                {(1, 2): Fraction(3, 4), (3, 4): Fraction(1, 4)},
+                "server 1 holds 3/4 of each file, expected 1/2",
+            ),
+        ],
+    )
+    def test_refusal_messages(self, entries, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sda.AlphaAssignment(4, 2, entries)
 
 
 class TestEqualSize:
@@ -232,13 +259,13 @@ class TestQArray:
     def test_q2(self):
         array = sda.build_q_array(2)
         assert (array.n, array.m) == (5, 2)
-        assert sda.validate(array) is None
+        sda.validate(array)
         assert sda.column_profile(array).eta == 4  # ceil(2/2)+3
 
     def test_count_formula_and_validity(self):
         for m in range(2, 13):
             array = sda.build_q_array(m)
-            assert sda.validate(array) is None
+            sda.validate(array)
             assert sda.column_profile(array).eta == (m + 1) // 2 + 3
 
     def test_rejects_m_below_two(self):
@@ -303,7 +330,7 @@ class TestInvariantsSweep:
         for n in range(1, 15):
             for m in range(1, n + 1):
                 for array in (sda.build_equal_size(n, m), sda.build_greedy(n, m)):
-                    assert sda.validate(array) is None, (n, m)
+                    sda.validate(array)
 
     def test_greedy_profile_matches_recursion(self):
         for n in range(1, 15):
@@ -330,7 +357,7 @@ class TestInvariantsSweep:
             for d in range(2, 5):
                 for n, strict in ((d * m + 1, m >= 4), (d * m - 1, m >= 5)):
                     array = sda.build_improved(n, m)
-                    assert sda.validate(array) is None
+                    sda.validate(array)
                     eta = sda.column_profile(array).eta
                     if strict:
                         assert eta < sda.eta_recursion(n, m), (n, m)
@@ -373,6 +400,10 @@ class TestTextFormat:
         # well-formed text, wrong star counts
         with pytest.raises(ValueError):
             sda.parse_sda("3 2\n**.\n**.\n.**")
+
+    def test_parser_rejects_non_integer_header(self):
+        with pytest.raises(ValueError, match="bad header '4 x', expected two integers"):
+            sda.parse_sda("4 x\n*.\n.*\n*.\n.*")
 
 
 def pinned_arrays():

@@ -58,6 +58,24 @@ class TestAnswer:
         with pytest.raises(ValueError):
             answer((0, 2), storage_2_2())
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="query length 1 != K=2"):
+            answer((0,), storage_2_2())
+
+
+class TestGroupStorage:
+    def test_needs_two_servers(self):
+        with pytest.raises(ValueError, match="need M >= 2, got M=1"):
+            GroupStorage(1, ((),))
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="every file needs exactly 2 packets"):
+            GroupStorage(3, ((b"a", b"b"), (b"c",)))
+
+    def test_rejects_mixed_packet_lengths(self):
+        with pytest.raises(ValueError, match="packets in one group must have equal length"):
+            GroupStorage(3, ((b"a", b"bc"), (b"d", b"e")))
+
 
 class TestDecode:
     def test_silent_holder_means_empty_interference(self):
