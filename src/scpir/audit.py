@@ -25,10 +25,10 @@ XOR of stored packets with 0/1 coefficients fixed by (theta, base) alone.
 On the one-hot basis, where packet i of file f+1 is the single bit
 f*(M-1)+i, an answer's payload is its coefficient row, and a round that
 decodes the basis decodes every group of every library. Every round-level
-audit walks the same K*M^K (theta, base) rounds, refused up front when
-their K*M^(K+1) queries are over budget. Those rounds hold only M^K
-distinct queries, so the walk answers each once on the basis and replays
-the reply from a memo that ends with the walk.
+audit walks the same K*M^K (theta, base) rounds, refused up front here
+when their K*M^(K+1) queries are over MAX_REALIZATIONS. Those rounds hold
+only M^K distinct queries, so the walk answers each once on the basis and
+replays the reply from a memo that ends with the walk.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -49,10 +49,7 @@ from .scheme import (
     PacketLayout,
     StoragePlan,
     average_download,
-    check_retrieval_size,
-    minimal_length,
-    plan_storage,
-    random_library,
+    greedy_scheme,
     require_retrieval_params,
     retrieve,
 )
@@ -118,16 +115,19 @@ def queries_duplicate_shift(theta: int, base: tuple[int, ...], m: int) -> list[t
 # Individual audits
 # ---------------------------------------------------------------------------
 
+MAX_REALIZATIONS = 10**6  # walked queries one audit may count or check
+
 
 def _check_bill(m: int, k: int) -> None:
     """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
     MAX_REALIZATIONS. The walk answers only its M^K distinct queries, but
-    each walked query is still counted or checked once. M^64 alone exceeds
-    the budget for M >= 2, so the power stops there."""
-    if k * m ** min(k + 1, 64) > sfpir.MAX_REALIZATIONS:
+    each walked query is still counted or checked once, and the bill bounds
+    the M^K base vectors enumerated. M^64 alone exceeds the budget for
+    M >= 2, so the power stops there."""
+    if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
-            f"over the budget of {sfpir.MAX_REALIZATIONS}"
+            f"over the budget of {MAX_REALIZATIONS}"
         )
 
 
@@ -426,17 +426,13 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
 
 
 def run_full_audit(n: int, m: int, k: int, seed: int = 0) -> AuditReport:
-    """Build the greedy scheme for (N, M, K) and run every audit on it,
-    after refusing bad (N, M), out-of-scope (M, K), over-budget walks and
-    oversized retrievals (`scheme.check_retrieval_size`) up front."""
+    """Run every audit on the greedy scheme for (N, M, K) at minimal length,
+    refusing bad (N, M), out-of-scope (M, K), over-budget walks and then
+    oversized retrievals (`scheme.greedy_scheme`) before building it."""
     sda.require_params(n, m)
     require_retrieval_params(m, k)
     _check_bill(m, k)
-    check_retrieval_size(n, m, k, 1)
-    alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(n, m)))
-    file_len = minimal_length(n, m)
-    layout, plan = plan_storage(alpha, k, file_len)
-    library = random_library(k, file_len, seed)
+    layout, plan, library = greedy_scheme(n, m, k, 1, seed)
     return AuditReport(
         [
             storage_audit(plan, layout),

@@ -15,15 +15,7 @@ from math import gcd
 
 from . import sda
 from .audit import run_full_audit
-from .scheme import (
-    RetrievalTranscript,
-    check_retrieval_size,
-    minimal_length,
-    plan_storage,
-    random_library,
-    require_retrieval_params,
-    retrieve,
-)
+from .scheme import RetrievalTranscript, greedy_scheme, require_retrieval_params, retrieve
 from .sfpir import random_base_vector
 
 ANALYZE_HEADER = (
@@ -77,18 +69,13 @@ def transcript_record(n: int, m: int, k: int, transcript: RetrievalTranscript, m
 
 
 def cmd_simulate(args) -> int:
-    if args.k < 1:  # theta's range 1..K is empty: refuse K first, as `audit` does
-        sda.require_params(args.n, args.m)
-        require_retrieval_params(args.m, args.k)
+    sda.require_params(args.n, args.m)  # refuse in the order `audit` uses
+    require_retrieval_params(args.m, args.k)
     if args.theta < 1 or args.theta > args.k:
         raise ValueError(f"theta must be in 1..{args.k} (indices are 1-based)")
     if args.l_mult < 1:
         raise ValueError("l-mult must be a positive integer")
-    check_retrieval_size(args.n, args.m, args.k, args.l_mult)  # refuse before building
-    alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(args.n, args.m)))
-    file_len = args.l_mult * minimal_length(args.n, args.m)
-    layout, plan = plan_storage(alpha, args.k, file_len)
-    library = random_library(args.k, file_len, args.seed)
+    layout, plan, library = greedy_scheme(args.n, args.m, args.k, args.l_mult, args.seed)
     rng = random.Random(args.seed + 1)  # independent of the library contents
     bases = [random_base_vector(rng, args.m, args.k) for _ in layout.groups]
     transcript = retrieve(args.theta, plan, layout, library, bases)

@@ -5,6 +5,7 @@ of the storage design array, sized by that group's fraction; the region
 is further split into M-1 equal packets and replicated on the group's M
 servers. Retrieval runs one independent storage-full instance per group
 and concatenates the decoded regions. All cost accounting is exact.
+`greedy_scheme` alone builds and prices the scheme `simulate` and `audit` run.
 
 File lengths must be multiples of N*(M-1)/gcd(N,M) symbols: every group
 fraction is a multiple of gcd(N,M)/N and every region splits M-1 ways, so
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .sda import AlphaAssignment, eta_recursion
+from . import sda
 from .sfpir import Answer, GroupStorage, answer, decode, make_queries
 
 
@@ -117,21 +118,7 @@ MAX_ROUND_SYMBOLS = 2**15
 MAX_LIBRARY_BYTES = 2**24
 
 
-def check_retrieval_size(n: int, m: int, k: int, l_mult: int) -> None:
-    """Raise ValueError unless one retrieval over the greedy (N, M) array,
-    with K files of l_mult minimal lengths, sends at most MAX_ROUND_SYMBOLS
-    query symbols (groups * M * K) and draws at most MAX_LIBRARY_BYTES.
-    Reads closed forms only, so it can refuse before anything is built."""
-    symbols = eta_recursion(n, m) * m * k
-    library = k * l_mult * minimal_length(n, m)
-    if symbols > MAX_ROUND_SYMBOLS or library > MAX_LIBRARY_BYTES:
-        raise ValueError(
-            f"a retrieval over ({n}, {m}) with K={k} sends {symbols} query symbols and draws a "
-            f"{library}-byte library; the bounds are {MAX_ROUND_SYMBOLS} and {MAX_LIBRARY_BYTES}"
-        )
-
-
-def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
+def plan_storage(alpha: sda.AlphaAssignment, k: int, file_len: int):
     """Turn a group-fraction assignment into a packet layout and a
     per-server storage plan.
 
@@ -178,6 +165,26 @@ def plan_storage(alpha: AlphaAssignment, k: int, file_len: int):
             capacity[server] += k * region.group_bytes
     per_server = {server: tuple(held) for server, held in stored.items()}
     return layout, StoragePlan(n, m, k, file_len, per_server, capacity)
+
+
+def greedy_scheme(n: int, m: int, k: int, l_mult: int, seed: int):
+    """(layout, plan, library) over the greedy (N, M) array, with K seeded
+    files of l_mult minimal lengths. Refuses from closed forms, before
+    building, in this order: bad (N, M), M < 2 or K < 1, then more than
+    MAX_ROUND_SYMBOLS query symbols (groups * M * K) or MAX_LIBRARY_BYTES."""
+    sda.require_params(n, m)
+    require_retrieval_params(m, k)
+    symbols = sda.eta_recursion(n, m) * m * k
+    file_len = l_mult * minimal_length(n, m)
+    library = k * file_len
+    if symbols > MAX_ROUND_SYMBOLS or library > MAX_LIBRARY_BYTES:
+        raise ValueError(
+            f"a retrieval over ({n}, {m}) with K={k} sends {symbols} query symbols and draws a "
+            f"{library}-byte library; the bounds are {MAX_ROUND_SYMBOLS} and {MAX_LIBRARY_BYTES}"
+        )
+    alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(n, m)))
+    layout, plan = plan_storage(alpha, k, file_len)
+    return layout, plan, random_library(k, file_len, seed)
 
 
 def group_storage(layout: PacketLayout, group: int, library: FileLibrary) -> GroupStorage:

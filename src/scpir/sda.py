@@ -23,9 +23,11 @@ checked once, and every function that reads one trusts it.
 
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 
 Columns = tuple[tuple[int, ...], ...]
 
@@ -69,14 +71,16 @@ class AlphaAssignment:
     entries preserves group order (first occurrence in the source array).
     Every subset has size m, every value is a positive rational, each
     server's values sum to exactly m/n, and the whole map sums to 1;
-    construction raises ValueError unless `check` passes.
+    construction raises ValueError unless `check` passes, and entries is
+    a read-only copy of the given map.
     """
 
     n: int
     m: int
-    entries: dict[tuple[int, ...], Fraction]
+    entries: Mapping[tuple[int, ...], Fraction]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
         self.check()
 
     def check(self) -> None:
@@ -124,14 +128,18 @@ def validate(sda: StorageDesignArray) -> None:
     # repeated columns share one check; the first bad one in first-occurrence
     # order is also the first bad column in column order
     invalid = f"not a valid ({sda.n},{sda.m}) storage design array: "
-    counts = Counter(sda.column_sets)
+    not_canonical = "column {} is not a sorted tuple of distinct servers in 1..{}"
+    try:
+        counts = Counter(sda.column_sets)
+    except TypeError:  # an unhashable column, such as a list, is no tuple of servers
+        j = next(j for j, c in enumerate(sda.column_sets, 1) if not _int_tuple(c))
+        raise ValueError(not_canonical.format(j, sda.n)) from None
     stars = [0] * (sda.n + 1)
     for column, count in counts.items():
         canonical = list(column) == sorted(set(column))
         # sorted and distinct, so its first and last servers bound the rest
         if not canonical or column and not 1 <= column[0] <= column[-1] <= sda.n:
-            j = sda.column_sets.index(column) + 1
-            raise ValueError(f"column {j} is not a sorted tuple of distinct servers in 1..{sda.n}")
+            raise ValueError(not_canonical.format(sda.column_sets.index(column) + 1, sda.n))
         if len(column) != sda.m:
             j = sda.column_sets.index(column) + 1
             raise ValueError(invalid + f"column {j} has {len(column)} stars, expected {sda.m}")
@@ -142,6 +150,10 @@ def validate(sda: StorageDesignArray) -> None:
         if stars[server] != per_row:
             problem = f"row {server} has {stars[server]} stars, expected {per_row}"
             raise ValueError(invalid + problem)
+
+
+def _int_tuple(column) -> bool:
+    return isinstance(column, tuple) and all(isinstance(s, int) for s in column)
 
 
 def column_profile(sda: StorageDesignArray) -> ColumnProfile:

@@ -13,7 +13,8 @@ the M-1 wanted packets.
 
 Servers never see the wanted index: `answer` takes only the query and the
 stored packets. Download cost varies by realization; over all M^K base
-vectors the group transmits M^(K+1) - M packets in total.
+vectors the group transmits M^(K+1) - M packets in total. Walks over
+them are priced by their caller (`audit`), not by the enumerator.
 """
 
 import random
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .packets import DUMMY, add_packets, sum_packets
-
-MAX_REALIZATIONS = 10**6
 
 
 class ProtocolViolation(RuntimeError):
@@ -140,8 +139,6 @@ def decode(theta: int, base: tuple[int, ...], answers: list[Answer]) -> list[byt
 def enumerate_realizations(m: int, k: int):
     """All M^K base vectors in lexicographic order, each carrying
     probability 1/M^K under the protocol's uniform draw."""
-    if m**k > MAX_REALIZATIONS:
-        raise ValueError(f"{m}^{k} realizations exceed the enumeration budget")
     return product(range(m), repeat=k)
 
 

@@ -1,5 +1,6 @@
 """The audits must pass on honest schemes and fail on each injected fault."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,14 @@ from scpir.audit import (
     storage_audit,
     subpacketization_audit,
 )
+from scpir.oracle import min_eta_star
 from scpir.scheme import (
     StoragePlan,
     average_download,
     minimal_length,
     plan_storage,
     random_library,
+    retrieve,
 )
 from scpir.sfpir import SILENT, Answer, answer, decode, make_queries
 
@@ -51,16 +54,22 @@ class TestPrivacyAudit:
 
 @st.composite
 def audit_instances(draw):
-    """Greedy or equal-size (N, M, K) with 2 <= M <= N <= 10 and M^K <= 10^3."""
+    """Greedy, equal-size or, where its family holds, improved (N, M, K)
+    with 2 <= M <= N <= 10 and M^K <= 10^3."""
     n = draw(st.integers(2, 10))
     m = draw(st.integers(2, n))
     k = draw(st.integers(1, max(k for k in range(1, 10) if m**k <= 10**3)))
-    build = draw(st.sampled_from([sda.build_greedy, sda.build_equal_size]))
+    builds = [sda.build_greedy, sda.build_equal_size]
+    if sda.improved_family(n, m) is not None:
+        builds.append(sda.build_improved)
+    build = draw(st.sampled_from(builds))
     return n, m, k, build
 
 
 @settings(max_examples=25, deadline=None)
 @given(audit_instances())
+@example((7, 3, 3, sda.build_improved))
+@example((9, 4, 2, sda.build_improved))
 def test_audits_hold_on_random_layouts(instance):
     n, m, k, build = instance
     layout, plan, library = build_instance(n, m, k, build=build)
@@ -73,6 +82,25 @@ def test_audits_hold_on_random_layouts(instance):
     assert offset_dropped.passed == (k == 1)  # one file leaves nothing to separate
     assert conditions_audit(m, k).passed
     assert not conditions_audit(m, k, query_fn=queries_duplicate_shift).passed
+
+
+def test_audits_hold_on_oracle_witnesses():
+    """Every eta* witness with N <= 8 is planned at minimal length with
+    exactly eta* groups, and the scheme it gives passes the audits."""
+    for n in range(2, 9):
+        for m in range(2, n + 1):
+            eta, witness = min_eta_star(n, m)
+            file_len = minimal_length(n, m)
+            layout, plan = plan_storage(sda.AlphaAssignment(n, m, witness), 2, file_len)
+            library = random_library(2, file_len, seed=n * 10 + m)
+            assert len(layout.groups) == eta, (n, m)
+            checks = [
+                storage_audit(plan, layout),
+                privacy_audit(layout, library),
+                correctness_audit(plan, layout, library),
+                rate_audit(layout, library),
+            ]
+            assert [c.name for c in checks if not c.passed] == [], (n, m)
 
 
 class TestCorrectnessAudit:
@@ -124,6 +152,22 @@ class TestCorrectnessAudit:
         check = correctness_audit(plan, layout, library)
         assert not check.passed
         assert f"base {target}" in check.detail
+
+    def test_fails_on_assembled_retrieval(self, monkeypatch):
+        # every group round decodes, but the concatenated file is wrong:
+        # only the assembled-retrieval comparison can see this fault
+        layout, plan, library = build_instance(9, 4, 2)
+
+        def misassembled(*args):
+            t = retrieve(*args)
+            flipped = bytes([t.decoded_file[0] ^ 1]) + t.decoded_file[1:]
+            return dataclasses.replace(t, decoded_file=flipped)
+
+        monkeypatch.setattr("scpir.audit.retrieve", misassembled)
+        check = correctness_audit(plan, layout, library)
+        assert not check.passed
+        assert check.measured.startswith("2 failures in ")
+        assert check.detail == "file 1 mis-decoded at assembled retrieval"
 
 
 class TestRateAudit:

@@ -128,7 +128,7 @@ class TestSimulate:
             raise AssertionError("simulate built the array or drew the library before refusing")
 
         monkeypatch.setattr("scpir.cli.sda.build_greedy", refuse)
-        monkeypatch.setattr("scpir.cli.random_library", refuse)
+        monkeypatch.setattr("scpir.scheme.random_library", refuse)
 
     @pytest.mark.parametrize(
         "n, m, k, l_mult, message",
@@ -149,6 +149,23 @@ class TestSimulate:
         assert stdout == ""
         assert message in stderr
 
+    @pytest.mark.parametrize(
+        "n, m, k, theta, message",
+        [
+            (5, 1, 2, 1, "M=1 retrieval is out of scope"),
+            (5, 1, 2, 7, "M=1 retrieval is out of scope"),
+            (100000, 1, 2, 1, "M=1 retrieval is out of scope"),
+            (3, 4, 2, 9, "need 1 <= M <= N"),
+        ],
+    )
+    def test_refused_in_audit_order(self, capsys, no_build, n, m, k, theta, message):
+        code, stdout, stderr = run(
+            capsys, "simulate", "--n", str(n), "--m", str(m), "--k", str(k), "--theta", str(theta)
+        )
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr
+
 
 class TestAudit:
     def test_all_pass_exit_zero(self, capsys):
@@ -161,7 +178,7 @@ class TestAudit:
         def refuse(*args):
             raise AssertionError("the audit drew a library or walked a round")
 
-        monkeypatch.setattr("scpir.audit.random_library", refuse)
+        monkeypatch.setattr("scpir.scheme.random_library", refuse)
         monkeypatch.setattr("scpir.audit.enumerate_realizations", refuse)
 
     @pytest.mark.parametrize("n, m, k", [(9, 4, 9), (3, 2, 19), (3, 2, 10**9)])
@@ -285,7 +302,7 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr("scpir.cli.random_library", exhausted)
+    monkeypatch.setattr("scpir.scheme.random_library", exhausted)
     code, stdout, stderr = run(capsys, "simulate", "--n", "3", "--m", "2", "--k", "2", "--theta", "1")
     assert code == 2
     assert stdout == ""
@@ -296,7 +313,7 @@ def test_overflow_exits_two(capsys, monkeypatch):
     def unrepresentable(*args):
         raise OverflowError("int too large to convert to C int")
 
-    monkeypatch.setattr("scpir.cli.random_library", unrepresentable)
+    monkeypatch.setattr("scpir.scheme.random_library", unrepresentable)
     code, stdout, stderr = run(capsys, "simulate", "--n", "3", "--m", "2", "--k", "2", "--theta", "1")
     assert code == 2
     assert stdout == ""

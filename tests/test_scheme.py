@@ -1,6 +1,7 @@
 """Placement planning and end-to-end retrieval on small instances."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from scpir import sda
 from scpir.scheme import (
     FileLibrary,
     average_download,
+    greedy_scheme,
     group_storage,
     minimal_length,
     plan_storage,
@@ -100,6 +102,41 @@ class TestPlanStorage:
         with pytest.raises(ValueError, match="do not sum to 1"):
             broken = sda.AlphaAssignment(4, 2, {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 4)})
             plan_storage(broken, k=2, file_len=minimal_length(4, 2))
+
+    def test_rejects_fraction_off_granularity(self):
+        # a valid alpha, but 1/4 is not a multiple of gcd(4,2)/4, so no
+        # file length makes the packets of (1, 2) and (1, 3) integral
+        quarters = {s: Fraction(1, 4) for s in [(1, 2), (3, 4), (1, 3), (2, 4)]}
+        alpha = sda.AlphaAssignment(4, 2, quarters)
+        message = "group (1, 2) fraction 1/4 is not a multiple of 2/4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            plan_storage(alpha, k=2, file_len=minimal_length(4, 2))
+
+
+class TestGreedyScheme:
+    def test_same_scheme_as_the_pipeline(self):
+        layout, plan, library = greedy_scheme(12, 5, 3, 2, seed=4)
+        assert (layout, plan) == plan_storage(greedy_alpha(12, 5), 3, 2 * minimal_length(12, 5))
+        assert library == random_library(3, 2 * minimal_length(12, 5), seed=4)
+
+    @pytest.mark.parametrize(
+        "n, m, k, l_mult, message",
+        [
+            (3, 4, 0, 1, "need 1 <= M <= N"),
+            (10**5, 1, 0, 1, "M=1 retrieval is out of scope"),
+            (5, 2, 0, 1, "need at least one file, got K=0"),
+            (10**5, 2, 2, 1, "sends 200000 query symbols and draws a 100000-byte library"),
+            (3, 2, 1, 5592406, "draws a 16777218-byte library; the bounds are 32768 and 16777216"),
+        ],
+    )
+    def test_refuses_in_order_before_building(self, monkeypatch, n, m, k, l_mult, message):
+        def refuse(*args):
+            raise AssertionError("greedy_scheme built before refusing")
+
+        monkeypatch.setattr(sda, "build_greedy", refuse)
+        monkeypatch.setattr("scpir.scheme.random_library", refuse)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            greedy_scheme(n, m, k, l_mult, seed=0)
 
 
 class TestRetrieve:

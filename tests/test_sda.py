@@ -133,6 +133,15 @@ class TestValidate:
         with pytest.raises(ValueError, match="column 1 has 1 stars, expected 2"):
             sda.StorageDesignArray(3, 2, ((1,), (2,), (5,)))
 
+    @pytest.mark.parametrize(
+        "columns, j",
+        [(([1, 2], [3, 4]), 1), (((1, 2), [3, 4]), 2), (((1, 2), (3, [4])), 2)],
+    )
+    def test_unhashable_column_refused(self, columns, j):
+        message = f"column {j} is not a sorted tuple of distinct servers in 1..4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sda.StorageDesignArray(4, 2, columns)
+
 
 class TestColumnProfile:
     def test_greedy_9_4(self):
@@ -166,6 +175,14 @@ class TestAlphaAssignment:
     def test_full_replication(self):
         alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(5, 5)))
         assert alpha.entries == {(1, 2, 3, 4, 5): Fraction(1)}
+
+    def test_entries_are_read_only(self):
+        source = {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 2)}
+        alpha = sda.AlphaAssignment(4, 2, source)
+        with pytest.raises(TypeError):
+            alpha.entries[(1, 2)] = Fraction(5)
+        source[(1, 2)] = Fraction(5)  # the assignment holds its own copy
+        assert alpha.entries[(1, 2)] == Fraction(1, 2)
 
     def test_invariant_checker_rejects_bad_sums(self):
         with pytest.raises(ValueError):

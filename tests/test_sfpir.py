@@ -122,10 +122,6 @@ class TestEnumerateRealizations:
     def test_3_1(self):
         assert list(enumerate_realizations(3, 1)) == [(0,), (1,), (2,)]
 
-    def test_budget_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_realizations(10, 7)
-
 
 def random_storage(rng, m, k, length=3):
     return GroupStorage(m, tuple(tuple(rng.randbytes(length) for _ in range(m - 1)) for _ in range(k)))
