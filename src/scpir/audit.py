@@ -189,7 +189,7 @@ def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_quer
 
 
 def correctness_audit(
-    plan: StoragePlan, layout: PacketLayout, library: FileLibrary, tamper=None
+    plan: StoragePlan, layout: PacketLayout, library: FileLibrary, tamper=lambda g, pos, a: a
 ) -> AuditCheck:
     """Every wanted file decodes exactly, for every realization.
 
@@ -198,7 +198,8 @@ def correctness_audit(
     group and every library (see the module docstring). Real bytes then
     check the slicing: the assembled retrieval of each file at base
     (0,)*K, with each of its group rounds decoded again after
-    `tamper(group, server_pos, answer)`, which lets tests corrupt an answer.
+    `tamper(group, server_pos, answer)`, by default the identity; tests
+    pass a hook that corrupts an answer.
     """
     failures = runs = 0
     first = ""
@@ -222,9 +223,7 @@ def correctness_audit(
         t = retrieve(theta, plan, layout, library, [zero] * len(layout.groups))
         runs += len(t.groups)  # retrieve decodes each group round once
         for g, region in zip(t.groups, layout.groups):
-            answers = list(g.answers)
-            if tamper is not None:
-                answers = [tamper(g.group, pos, a) for pos, a in enumerate(answers)]
+            answers = [tamper(g.group, pos, a) for pos, a in enumerate(g.answers)]
             want = library.file(theta)[region.file_offset : region.file_offset + region.group_bytes]
             check(theta, zero, answers, want, f"group {g.group} base {zero}")
         if t.decoded_file != library.file(theta):
@@ -242,10 +241,10 @@ def correctness_audit(
 
 def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
     """The enumerated average download must equal the closed form
-    L * (1 + 1/M + ... + 1/M^(K-1)) exactly, for every wanted file.
-    A group's download is its packet size times one (M, K) round's
-    non-silent answers (see the module docstring), counted once per file
-    on the one-hot basis.
+    L * (1 + 1/M + ... + 1/M^(K-1)) exactly, for every wanted file, with L
+    the layout's file length. A group's download is its packet size times
+    one (M, K) round's non-silent answers (see the module docstring),
+    counted once per file on the one-hot basis.
     """
     k, m = library.k_files, layout.m
     expected = average_download(layout, k)

@@ -73,8 +73,6 @@ def cmd_simulate(args) -> int:
     require_retrieval_params(args.m, args.k)
     if args.theta < 1 or args.theta > args.k:
         raise ValueError(f"theta must be in 1..{args.k} (indices are 1-based)")
-    if args.l_mult < 1:
-        raise ValueError("l-mult must be a positive integer")
     layout, plan, library = greedy_scheme(args.n, args.m, args.k, args.l_mult, args.seed)
     rng = random.Random(args.seed + 1)  # independent of the library contents
     bases = [random_base_vector(rng, args.m, args.k) for _ in layout.groups]

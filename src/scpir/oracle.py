@@ -150,10 +150,10 @@ def _phase1_simplex(rows: list[list[int]], rhs: list[int]):
     return x
 
 
-def _solve_support(subsets: list[Subset], n: int, side: int):
-    """Nonnegative solution of the per-server equalities (budget side/N)
-    on this support, or None. Propagation first, simplex only on the
-    undecided remainder, both in units of 1/N; scaled back once here.
+def _solve_support(subsets: list[Subset], n: int, side: int) -> dict[Subset, Fraction] | None:
+    """Positive witness of the per-server equalities (budget side/N) on this
+    support, its zero groups dropped, or None. Propagation first, simplex only
+    on the undecided remainder, both in units of 1/N; scaled back once here.
     Propagation already rejects a server left with budget but no undecided
     group, so a fully decided support needs no further check."""
     state = _propagate(subsets, n, side)
@@ -169,7 +169,7 @@ def _solve_support(subsets: list[Subset], n: int, side: int):
             return None
         for j, value in zip(open_idx, solution):
             alpha[j] = value
-    return [Fraction(v) / n for v in alpha]
+    return {s: Fraction(v, n) for s, v in zip(subsets, alpha) if v > 0}
 
 
 def _as_subsets(candidate, n: int, m: int) -> list[Subset]:
@@ -197,11 +197,7 @@ def lp_feasible(candidate, n: int, m: int) -> dict[Subset, Fraction] | None:
     searches are unaffected because a witness on a strict sub-support would
     already have been found at the smaller size.
     """
-    subsets = _as_subsets(candidate, n, m)
-    solution = _solve_support(subsets, n, m)
-    if solution is None:
-        return None
-    return {s: v for s, v in zip(subsets, solution) if v > 0}
+    return _solve_support(_as_subsets(candidate, n, m), n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +261,8 @@ def min_eta_star(n: int, m: int):
     for size in range(eta_lower_bound(n, m), MAX_CAP + 1):
         for candidate in _canonical_supports(n, side, size):
             tried += 1
-            solution = _solve_support(candidate, n, side)
-            if solution is not None:
-                witness = {s: v for s, v in zip(candidate, solution) if v > 0}
+            witness = _solve_support(candidate, n, side)
+            if witness is not None:
                 return size, (_complement(witness, n) if dual else witness)
     raise OracleBudgetError(
         f"no feasible support of size <= {MAX_CAP} for N={n}, M={m} ({tried} candidates tried)"

@@ -170,10 +170,13 @@ def plan_storage(alpha: sda.AlphaAssignment, k: int, file_len: int):
 def greedy_scheme(n: int, m: int, k: int, l_mult: int, seed: int):
     """(layout, plan, library) over the greedy (N, M) array, with K seeded
     files of l_mult minimal lengths. Refuses from closed forms, before
-    building, in this order: bad (N, M), M < 2 or K < 1, then more than
-    MAX_ROUND_SYMBOLS query symbols (groups * M * K) or MAX_LIBRARY_BYTES."""
+    building, in this order: bad (N, M), M < 2 or K < 1, an l_mult that is
+    not a positive integer, then more than MAX_ROUND_SYMBOLS query symbols
+    (groups * M * K) or MAX_LIBRARY_BYTES."""
     sda.require_params(n, m)
     require_retrieval_params(m, k)
+    if not isinstance(l_mult, int) or l_mult < 1:
+        raise ValueError("l-mult must be a positive integer")
     symbols = sda.eta_recursion(n, m) * m * k
     file_len = l_mult * minimal_length(n, m)
     library = k * file_len
@@ -236,7 +239,7 @@ def retrieve(
 
 
 def average_download(layout: PacketLayout, k: int) -> Fraction:
-    """Exact expected download in symbols over the uniform base-vector draw:
-    (1 + 1/M + ... + 1/M^(K-1)) * L, i.e. file length over capacity."""
-    overhead = sum(Fraction(1, layout.m**i) for i in range(k))
-    return sum((overhead * region.group_bytes for region in layout.groups), Fraction(0))
+    """The paper's closed form for the expected download in symbols over the
+    uniform base-vector draw: L * (1 + 1/M + ... + 1/M^(K-1)) with L the
+    layout's file_len, i.e. file length over capacity."""
+    return layout.file_len * sum(Fraction(1, layout.m**i) for i in range(k))

@@ -85,6 +85,9 @@ class AlphaAssignment:
 
     def check(self) -> None:
         """Raise ValueError if any invariant fails."""
+        for subset, value in self.entries.items():
+            if not isinstance(value, (int, Fraction)):
+                raise ValueError(f"group {subset} has size {value}, not an exact rational")
         # exact integer arithmetic in units of 1/den of a file
         den = lcm(*(value.denominator for value in self.entries.values()))
         held = [0] * (self.n + 1)  # held[s]: server s's units of each file
@@ -136,7 +139,7 @@ def validate(sda: StorageDesignArray) -> None:
         raise ValueError(not_canonical.format(j, sda.n)) from None
     stars = [0] * (sda.n + 1)
     for column, count in counts.items():
-        canonical = list(column) == sorted(set(column))
+        canonical = _int_tuple(column) and list(column) == sorted(set(column))
         # sorted and distinct, so its first and last servers bound the rest
         if not canonical or column and not 1 <= column[0] <= column[-1] <= sda.n:
             raise ValueError(not_canonical.format(sda.column_sets.index(column) + 1, sda.n))

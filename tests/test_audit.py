@@ -28,7 +28,15 @@ from scpir.scheme import (
     random_library,
     retrieve,
 )
-from scpir.sfpir import SILENT, Answer, answer, decode, make_queries
+from scpir.sfpir import (
+    SILENT,
+    Answer,
+    GroupStorage,
+    answer,
+    decode,
+    enumerate_realizations,
+    make_queries,
+)
 
 
 def build_instance(n, m, k, seed=0, build=sda.build_greedy):
@@ -187,6 +195,15 @@ class TestRateAudit:
         assert check.passed
         assert check.measured == str(Fraction(minimal_length(6, 3)))
 
+    def test_fails_on_dropped_group(self):
+        # the layout no longer covers the file: measured and expected must
+        # not both shrink with it
+        layout, _, library = build_instance(9, 4, 2)
+        short = dataclasses.replace(layout, groups=layout.groups[:-1])
+        check = rate_audit(short, library)
+        assert not check.passed
+        assert (check.measured, check.expected) == ("30", str(Fraction(135, 4)))
+
 
 class TestStorageAudit:
     def test_passes_on_every_plan_to_12(self):
@@ -286,23 +303,40 @@ def shifted_unwanted(theta, base, m):
 
 
 def per_file_violations(m, k, query_fn):
-    """The conditions count built the long way: every round answered
-    afresh and one residual set per unwanted file."""
-    basis = audit._basis(m, k)
-    blocks = [((1 << (m - 1)) - 1) << (f * (m - 1)) for f in range(k)]
+    """The conditions count built the long way, sharing nothing with the
+    audit but `answer`: its own one-hot basis and walk, every round
+    answered afresh, one residual set per unwanted file, and a GF(2) rank
+    per row set."""
+    width = m - 1
+    bits = [(1 << b).to_bytes((k * width + 7) // 8, "little") for b in range(k * width)]
+    basis = GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
+    blocks = [((1 << width) - 1) << (f * width) for f in range(k)]
+
+    def independent(rows):
+        """Whether the nonzero rows have full rank, eliminating the lowest
+        bit first."""
+        rows = [r for r in rows if r]
+        rank, left = 0, list(rows)
+        for bit in range(k * width):
+            pivot = next((r for r in left if r >> bit & 1), None)
+            if pivot is not None:
+                left.remove(pivot)
+                left = [r ^ pivot if r >> bit & 1 else r for r in left]
+                rank += 1
+        return rank == len(rows)
+
     violations = 0
-    for theta, _, queries in audit._rounds(m, k, query_fn):
-        replies = [answer(q, basis) for q in queries]
-        rows = [int.from_bytes(a.payload, "little") for a in replies if not a.silent]
-        wanted = [r & blocks[theta - 1] for r in rows]
-        violations += not audit._gf2_independent([r for r in wanted if r])
-        for other in range(1, k + 1):
-            if other == theta:
-                continue
-            kept = [r & ~blocks[other - 1] for r in rows]
-            violations += not audit._gf2_independent([r for r in kept if r])
-            mask = ~(blocks[theta - 1] | blocks[other - 1])
-            violations += len({r & mask for r in rows}) > 1
+    for theta in range(1, k + 1):
+        for base in enumerate_realizations(m, k):
+            replies = [answer(q, basis) for q in query_fn(theta, base, m)]
+            rows = [int.from_bytes(a.payload, "little") for a in replies if not a.silent]
+            violations += not independent([r & blocks[theta - 1] for r in rows])
+            for other in range(1, k + 1):
+                if other == theta:
+                    continue
+                violations += not independent([r & ~blocks[other - 1] for r in rows])
+                mask = ~(blocks[theta - 1] | blocks[other - 1])
+                violations += len({r & mask for r in rows}) > 1
     return violations
 
 

@@ -127,6 +127,10 @@ class TestGreedyScheme:
             (5, 2, 0, 1, "need at least one file, got K=0"),
             (10**5, 2, 2, 1, "sends 200000 query symbols and draws a 100000-byte library"),
             (3, 2, 1, 5592406, "draws a 16777218-byte library; the bounds are 32768 and 16777216"),
+            (4, 2, 2, 0, "l-mult must be a positive integer"),
+            (4, 2, 2, -1, "l-mult must be a positive integer"),
+            (4, 2, 2, 1.5, "l-mult must be a positive integer"),
+            (5, 2, 0, 0, "need at least one file, got K=0"),
         ],
     )
     def test_refuses_in_order_before_building(self, monkeypatch, n, m, k, l_mult, message):

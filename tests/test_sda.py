@@ -135,7 +135,13 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "columns, j",
-        [(([1, 2], [3, 4]), 1), (((1, 2), [3, 4]), 2), (((1, 2), (3, [4])), 2)],
+        [
+            (([1, 2], [3, 4]), 1),
+            (((1, 2), [3, 4]), 2),
+            (((1, 2), (3, [4])), 2),
+            (((1, 2.5), (3, 4)), 1),
+            (("12", "34"), 1),
+        ],
     )
     def test_unhashable_column_refused(self, columns, j):
         message = f"column {j} is not a sorted tuple of distinct servers in 1..4"
@@ -198,6 +204,7 @@ class TestAlphaAssignment:
                 {(1, 2): Fraction(3, 4), (3, 4): Fraction(1, 4)},
                 "server 1 holds 3/4 of each file, expected 1/2",
             ),
+            ({(1, 2): 0.5, (3, 4): 0.5}, "group (1, 2) has size 0.5, not an exact rational"),
         ],
     )
     def test_refusal_messages(self, entries, message):
