@@ -40,7 +40,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import gcd
 from operator import itemgetter
 
 from . import sda, sfpir
@@ -353,54 +352,34 @@ def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
 
 
 def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
-    """Sub-packetization of the constructions versus their closed forms,
-    the combinatorial floor, and the worst-case gap."""
-    g = gcd(n, m)
-    checks = []
-    eta_equal = sda.column_profile(sda.build_equal_size(n, m)).eta
-    checks.append(
-        AuditCheck(
-            name="equal-size-subpacketization",
-            passed=eta_equal * (m - 1) == n * (m - 1) // g,
-            measured=eta_equal * (m - 1),
-            expected=n * (m - 1) // g,
-            tag="distinct-cyclic-columns",
-        )
-    )
-    eta_greedy = sda.column_profile(sda.build_greedy(n, m)).eta
-    checks.append(
-        AuditCheck(
-            name="greedy-subpacketization",
-            passed=eta_greedy == sda.eta_recursion(n, m),
-            measured=eta_greedy * (m - 1),
-            expected=sda.eta_recursion(n, m) * (m - 1),
-            tag="greedy-recursion-value",
-        )
-    )
-    checks.append(
+    """Sub-packetization of each built construction versus its closed form
+    in `sda`, the combinatorial floor, and the worst-case gap."""
+
+    def compare(name, build, closed_form, tag) -> tuple[int, AuditCheck]:
+        eta = sda.column_profile(build(n, m)).eta
+        return eta, AuditCheck(name, eta == closed_form, eta * (m - 1), closed_form * (m - 1), tag)
+
+    eta_equal, equal = compare("equal-size-subpacketization", sda.build_equal_size,
+                               sda.eta_equal(n, m), "distinct-cyclic-columns")
+    eta_greedy, greedy = compare("greedy-subpacketization", sda.build_greedy,
+                                 sda.eta_recursion(n, m), "greedy-recursion-value")
+    checks = [
+        equal,
+        greedy,
         AuditCheck(
             name="greedy-beats-equal",
             passed=eta_greedy <= eta_equal,
             measured=eta_greedy * (m - 1),
             expected=f"<= {eta_equal * (m - 1)}",
             tag="unequal-packets-never-worse",
-        )
-    )
+        ),
+    ]
     family = sda.improved_family(n, m)
     if family is not None:
-        _, _, improved_eta = family
-        measured = sda.column_profile(sda.build_improved(n, m)).eta
-        checks.append(
-            AuditCheck(
-                name="improved-subpacketization",
-                passed=measured == improved_eta,
-                measured=measured * (m - 1),
-                expected=improved_eta * (m - 1),
-                tag="block-template-value",
-            )
-        )
+        checks.append(compare("improved-subpacketization", sda.build_improved,
+                              family[2], "block-template-value")[1])
     lower = sda.eta_lower_bound(n, m)
-    bound = Fraction(min(m, n - m), g) if m < n else Fraction(1)
+    bound = sda.gap_bound(n, m)
     ratio = Fraction(eta_greedy, lower)
     checks.append(
         AuditCheck(

@@ -11,6 +11,7 @@ import json
 import random
 import sys
 from contextlib import nullcontext
+from functools import cache
 from math import gcd
 
 from . import sda
@@ -96,16 +97,15 @@ def analysis_row(n: int, m: int) -> tuple[str, ...]:
     """One comparison row's cells, in ANALYZE_HEADER order, from the closed
     forms, building no array; the improved cells are empty when no d >= 2
     gives N = d*M+1 or d*M-1, or when M < 3."""
-    g = gcd(n, m)
-    eta_equal = n // g  # every cyclic-window column is distinct
+    eta_equal = sda.eta_equal(n, m)
     eta_greedy = sda.eta_recursion(n, m)
     family = sda.improved_family(n, m)
     eta_improved, f_improved = ("", "") if family is None else (family[2], family[2] * (m - 1))
     eta_lower = sda.eta_lower_bound(n, m)
-    gap_bound = min(m, n - m) // g if m < n else 1
     return tuple(map(str, (
-        n, m, g, eta_equal, eta_greedy, eta_improved, eta_lower,
-        eta_equal * (m - 1), eta_greedy * (m - 1), f_improved, eta_lower * (m - 1), gap_bound,
+        n, m, gcd(n, m), eta_equal, eta_greedy, eta_improved, eta_lower,
+        eta_equal * (m - 1), eta_greedy * (m - 1), f_improved, eta_lower * (m - 1),
+        sda.gap_bound(n, m),
     )))
 
 
@@ -120,6 +120,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scpir",
@@ -132,7 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--m", type=int, required=True, help="per-column storage budget")
     build.add_argument("--method", choices=sorted(_BUILDERS), default="greedy")
     build.add_argument("--out", help="write the array here instead of stdout")
-    build.set_defaults(handler=cmd_build)
 
     simulate = sub.add_parser("simulate", help="run one private retrieval end to end")
     simulate.add_argument("--n", type=int, required=True)
@@ -142,27 +142,27 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--l-mult", type=int, default=1, help="file length in minimal units")
     simulate.add_argument("--out", help="write the JSON transcript here instead of stdout")
-    simulate.set_defaults(handler=cmd_simulate)
 
     audit = sub.add_parser("audit", help="run the full audit battery on the greedy scheme")
     audit.add_argument("--n", type=int, required=True)
     audit.add_argument("--m", type=int, required=True)
     audit.add_argument("--k", type=int, required=True)
     audit.add_argument("--seed", type=int, default=0)
-    audit.set_defaults(handler=cmd_audit)
 
     analyze = sub.add_parser("analyze", help="emit the construction comparison table as CSV")
     analyze.add_argument("--n-max", type=int, required=True)
     analyze.add_argument("--out", help="write the CSV here instead of stdout")
-    analyze.set_defaults(handler=cmd_analyze)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # looked up per call, so a replaced module-level cmd_* is the one that runs
+    handler = {"build": cmd_build, "simulate": cmd_simulate, "audit": cmd_audit,
+               "analyze": cmd_analyze}[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ValueError, OSError, OverflowError, MemoryError, RecursionError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -14,6 +14,11 @@ here:
 * an improved block construction for N = d*M +/- 1 built from a fixed
   (2M+1, M) template and its star/blank complement.
 
+Every sub-packetization closed form in (N, M) lives here alone:
+`eta_equal`, `eta_recursion` (greedy) and `improved_family` count each
+construction's distinct columns, `eta_lower_bound` is the floor for any
+array, and `gap_bound` is greedy's worst-case factor over that floor.
+
 Everything is pure and exact; alpha values are `fractions.Fraction`.
 
 Arrays and alphas are valid by construction: `StorageDesignArray` runs
@@ -190,6 +195,12 @@ def build_equal_size(n: int, m: int) -> StorageDesignArray:
     return StorageDesignArray(n, m, tuple(windows))
 
 
+def eta_equal(n: int, m: int) -> int:
+    """Distinct-column count of `build_equal_size`: N/gcd(N,M), as no window repeats."""
+    require_params(n, m)
+    return n // gcd(n, m)
+
+
 def build_greedy(n: int, m: int) -> StorageDesignArray:
     """Greedy array: repeat each column as often as the row constraint
     allows, then continue on the uncovered corner.
@@ -324,6 +335,12 @@ def eta_lower_bound(n: int, m: int) -> int:
     if m == n:
         return 1
     return max(-(-n // m), -(-n // (n - m)))
+
+
+def gap_bound(n: int, m: int) -> int:
+    """Greedy's worst-case factor over the floor: min(M, N-M)/gcd(N,M), or 1 if M = N."""
+    require_params(n, m)
+    return min(m, n - m) // gcd(n, m) if m < n else 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from scpir.audit import (
     storage_audit,
     subpacketization_audit,
 )
+from scpir.cli import ANALYZE_HEADER, analysis_row
 from scpir.oracle import min_eta_star
 from scpir.scheme import (
     StoragePlan,
@@ -386,6 +387,48 @@ class TestSubpacketizationAudit:
         checks = self.as_map(7, 7)
         assert checks["greedy-subpacketization"].measured == 6
         assert checks["optimal-case"].measured == 6  # N-1 meets the floor
+
+    @pytest.mark.parametrize(
+        "n, m, target, stand_in, name, measured, expected",
+        [
+            (12, 5, "build_greedy", "build_equal_size", "greedy-subpacketization", 48, 24),
+            (12, 5, "build_equal_size", "build_greedy", "equal-size-subpacketization", 24, 48),
+            (11, 5, "build_improved", "build_greedy", "improved-subpacketization", 28, 24),
+        ],
+    )
+    def test_fails_on_swapped_builder(
+        self, monkeypatch, n, m, target, stand_in, name, measured, expected
+    ):
+        monkeypatch.setattr(sda, target, getattr(sda, stand_in))
+        check = self.as_map(n, m)[name]
+        assert (check.passed, check.measured, check.expected) == (False, measured, expected)
+
+
+@st.composite
+def subpacketization_params(draw):
+    """2 <= M <= N <= 300, half of them N = d*M +/- 1 with M >= 3, d >= 2."""
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 150))
+        d = draw(st.integers(2, 301 // m))
+        n = d * m + draw(st.sampled_from((1, -1)))
+        assume(n <= 300)
+        return n, m
+    n = draw(st.integers(2, 300))
+    return n, draw(st.integers(2, n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(subpacketization_params())
+def test_closed_forms_match_built_arrays_to_300(params):
+    n, m = params
+    checks = subpacketization_audit(n, m)
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+    row = dict(zip(ANALYZE_HEADER.split(","), analysis_row(n, m)))
+    builders = {"eta_equal": sda.build_equal_size, "eta_greedy": sda.build_greedy}
+    if sda.improved_family(n, m) is not None:
+        builders["eta_improved"] = sda.build_improved
+    for cell, build in builders.items():
+        assert row[cell] == str(sda.column_profile(build(n, m)).eta), cell
 
 
 class TestFullAudit:

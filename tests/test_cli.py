@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import argparse
 import json
 
 import pytest
@@ -330,6 +331,20 @@ def test_recursion_error_exits_two(capsys, monkeypatch):
     assert stdout == ""
     assert stderr == "error: maximum recursion depth exceeded\n"
     assert "Traceback" not in stderr
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for _ in range(2):
+        assert run(capsys, "analyze", "--n-max", "3")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_usage_error_exits_two(capsys):

@@ -349,6 +349,24 @@ class TestEtaLowerBound:
         assert sda.eta_lower_bound(6, 6) == 1
 
 
+class TestClosedForms:
+    def test_eta_equal(self):
+        assert sda.eta_equal(12, 5) == 12
+        assert sda.eta_equal(12, 4) == 3
+        assert sda.eta_equal(6, 6) == 1
+
+    def test_gap_bound(self):
+        assert sda.gap_bound(12, 5) == 5  # min(5, 7) / gcd 1
+        assert sda.gap_bound(12, 8) == 1  # min(8, 4) / gcd 4
+        assert sda.gap_bound(7, 7) == 1  # full replication
+
+    @pytest.mark.parametrize("closed_form", [sda.eta_equal, sda.gap_bound])
+    @pytest.mark.parametrize("n, m", [(3, 4), (3, 0)])
+    def test_parameter_range(self, closed_form, n, m):
+        with pytest.raises(ValueError, match="need 1 <= M <= N"):
+            closed_form(n, m)
+
+
 class TestInvariantsSweep:
     def test_all_constructions_validate_to_14(self):
         for n in range(1, 15):
