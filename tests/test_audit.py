@@ -1,6 +1,7 @@
 """The audits must pass on honest schemes and fail on each injected fault."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -445,6 +446,23 @@ class TestFullAudit:
         lines = report.table().splitlines()
         assert lines[-2:] == [f"  privacy: {failed.detail}", "overall: FAIL"]
         assert not report.overall
+
+    @pytest.mark.parametrize(
+        "n, m, k, digest",
+        [
+            (6, 3, 4, "fa7f372bfd9ca411fcde240022857924ff46507ea784d477422a523bdb313ac3"),
+            (11, 5, 4, "81fe3b354102a44ea05640932a4ef0b324b2ffb2d8fbe75cd1d270f45c22d952"),
+            (8, 3, 6, "384ee917a974d71bf4746fed6f72ef49f69487bdb049d8206eac3f62caaf6ef2"),
+            (7, 7, 2, "7e78f203d069d61bee3ee4274f2e3e73de924d9143e39820e61ceab4a540f7d9"),
+            (12, 4, 2, "57d622046e1e05411e78636bee592461d0befdd907053a9702b1a6afde34d9b1"),
+            (2, 2, 2, "14f452d8d95228f6737bb230f793a183817f589e6123c7e52d2427ad4711ba08"),
+            (5, 2, 3, "c1b0b704dbc6d825042ca99c2b099334a22378ee75e2266bee1234c30c34171f"),
+        ],
+    )
+    def test_table_is_pinned(self, n, m, k, digest):
+        # every byte of the report, measured values and details included
+        table = run_full_audit(n, m, k, seed=1).table()
+        assert hashlib.sha256(table.encode()).hexdigest() == digest
 
     def test_rejects_single_server_budget(self):
         with pytest.raises(ValueError):
