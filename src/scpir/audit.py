@@ -24,11 +24,17 @@ The protocol is also linear: every answer and every decoded packet is an
 XOR of stored packets with 0/1 coefficients fixed by (theta, base) alone.
 On the one-hot basis, where packet i of file f+1 is the single bit
 f*(M-1)+i, an answer's payload is its coefficient row, and a round that
-decodes the basis decodes every group of every library. Every round-level
-audit walks the same K*M^K (theta, base) rounds, refused up front here
-when their K*M^(K+1) queries are over MAX_REALIZATIONS. Those rounds hold
-only M^K distinct queries, so the walk answers each once on the basis and
-replays the reply from a memo that ends with the walk.
+decodes the basis decodes every group of every library.
+
+The round-level audits (privacy, correctness, rate, conditions) are folds
+over one walk of the K*M^K (theta, base) rounds, refused up front when
+their K*M^(K+1) queries are over MAX_REALIZATIONS. Those rounds hold only
+M^K distinct queries, so the walk answers each once on the basis and
+replays the reply from a memo that ends with the walk; `run_full_audit`
+hands every round to all four folds, so its whole run answers M^K
+queries. Each fold keeps only its sufficient statistic: per-position
+query counts, decodes, non-silent answers, and, for the conditions, at
+most two GF(2) eliminations per honest round.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -39,8 +45,6 @@ checks fail.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
 from . import sda, sfpir
 from .scheme import (
@@ -114,30 +118,23 @@ def queries_duplicate_shift(theta: int, base: tuple[int, ...], m: int) -> list[t
 # Individual audits
 # ---------------------------------------------------------------------------
 
-MAX_REALIZATIONS = 10**6  # walked queries one audit may count or check
+MAX_REALIZATIONS = 10**6  # walked queries one round walk may count or check
 
 
 def _check_bill(m: int, k: int) -> None:
     """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
-    MAX_REALIZATIONS. The walk answers only its M^K distinct queries, but
-    each walked query is still counted or checked once, and the bill bounds
-    the M^K base vectors enumerated. M^64 alone exceeds the budget for
-    M >= 2, so the power stops there."""
+    MAX_REALIZATIONS. The one walk answers only its M^K distinct queries,
+    and each fold does a bounded amount of work per round of M walked
+    queries: privacy counts them, correctness decodes the round once, rate
+    counts its non-silent replies, and conditions runs at most two GF(2)
+    eliminations of at most M rows on an honest round, besides one mask
+    test per unwanted file. M^64 alone exceeds the budget for M >= 2, so
+    the power stops there."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
             f"over the budget of {MAX_REALIZATIONS}"
         )
-
-
-def _rounds(m: int, k: int, query_fn=make_queries):
-    """Yield (theta, base, queries) for every wanted file and base vector
-    of one (M, K) group, after checking the walk's bill of K*M^(K+1)
-    walked queries."""
-    _check_bill(m, k)
-    for theta in range(1, k + 1):
-        for base in enumerate_realizations(m, k):
-            yield theta, base, query_fn(theta, base, m)
 
 
 def _basis(m: int, k: int) -> sfpir.GroupStorage:
@@ -149,118 +146,185 @@ def _basis(m: int, k: int) -> sfpir.GroupStorage:
 
 
 def _basis_rounds(basis: sfpir.GroupStorage, query_fn=make_queries):
-    """Yield (theta, base, answers) for every round of `_rounds`, answered
-    on `basis`. A reply is a function of its query and the storage alone,
-    so each distinct query (at most M^K of them) is answered once; the
-    memo lives only as long as this walk."""
+    """Yield (theta, base, queries, answers) for every wanted file and base
+    vector of one (M, K) group, answered on `basis`. A reply is a function
+    of its query and the storage alone, so each distinct query (at most
+    M^K of them) is answered once; the memo lives only as long as this
+    walk."""
+    m, k = basis.m, basis.k
     replies = {}
-    for theta, base, queries in _rounds(basis.m, basis.k, query_fn):
-        for q in queries:
-            if q not in replies:
-                replies[q] = answer(q, basis)
-        yield theta, base, [replies[q] for q in queries]
+    for theta in range(1, k + 1):
+        for base in enumerate_realizations(m, k):
+            queries = query_fn(theta, base, m)
+            for q in queries:
+                if q not in replies:
+                    replies[q] = answer(q, basis)
+            yield theta, base, queries, [replies[q] for q in queries]
 
 
-def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_queries) -> AuditCheck:
+def _walk(m: int, k: int, folds, query_fn=make_queries) -> list:
+    """Walk every round of one (M, K) group once, after checking the
+    walk's bill, and hand each (theta, base, queries, answers) to every
+    fold's `step`; return each fold's `finish()`."""
+    _check_bill(m, k)
+    steps = [fold.step for fold in folds]
+    for round_ in _basis_rounds(_basis(m, k), query_fn):
+        for step in steps:
+            step(*round_)
+    return [fold.finish() for fold in folds]
+
+
+class _Privacy:
     """Per server position, the multiset of received queries over all M^K
     base vectors must be the same for every wanted file as for file 1.
     That one (M, K) round decides every server's whole view, in every
-    group and jointly over its groups (see the module docstring).
-    """
-    mismatches = []  # (position, file) whose view differs from file 1's
-    reference = None  # only file 1's views and the current file's are held
-    for theta, rounds in groupby(_rounds(layout.m, library.k_files, query_fn), itemgetter(0)):
-        views = [Counter() for _ in range(layout.m)]
-        for _, _, queries in rounds:
-            for view, query in zip(views, queries):
-                view[query] += 1
-        reference = reference or views
-        mismatches += [(pos, theta) for pos in range(layout.m) if views[pos] != reference[pos]]
-    detail = "the server at position {} of every group can separate requests for file 1 and file {}"
-    return AuditCheck(
-        name="privacy",
-        passed=not mismatches,
-        measured=len(mismatches),
-        expected=0,
-        tag="query-answer-indistinguishability",
-        detail=detail.format(*mismatches[0]) if mismatches else "",
-    )
+    group and jointly over its groups (see the module docstring). Rounds
+    arrive file by file, so only file 1's views and the current file's
+    are held."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.theta = 0
+        self.views = self.reference = None
+        self.mismatches = []  # (position, file) whose view differs from file 1's
+        self.interned = {}  # one tuple per distinct query, shared by every view
+
+    def _close_file(self):
+        if self.views is None:
+            return
+        self.reference = self.reference or self.views
+        self.mismatches += [
+            (pos, self.theta) for pos in range(self.m) if self.views[pos] != self.reference[pos]
+        ]
+
+    def step(self, theta, base, queries, answers):
+        if theta != self.theta:
+            self._close_file()
+            self.theta, self.views = theta, [Counter() for _ in range(self.m)]
+        intern = self.interned.setdefault
+        for view, query in zip(self.views, queries):
+            view[intern(query, query)] += 1
+
+    def finish(self) -> AuditCheck:
+        self._close_file()
+        detail = "the server at position {} of every group can separate requests for file 1 and file {}"
+        return AuditCheck(
+            name="privacy",
+            passed=not self.mismatches,
+            measured=len(self.mismatches),
+            expected=0,
+            tag="query-answer-indistinguishability",
+            detail=detail.format(*self.mismatches[0]) if self.mismatches else "",
+        )
 
 
-def correctness_audit(
-    plan: StoragePlan, layout: PacketLayout, library: FileLibrary, tamper=lambda g, pos, a: a
-) -> AuditCheck:
+def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_queries) -> AuditCheck:
+    """The privacy fold (`_Privacy`) over one walk."""
+    return _walk(layout.m, library.k_files, [_Privacy(layout.m)], query_fn)[0]
+
+
+class _Correctness:
     """Every wanted file decodes exactly, for every realization.
 
-    Every (theta, base) round is decoded once on the one-hot basis, where
-    returning theta's basis packets proves that round exact for every
-    group and every library (see the module docstring). Real bytes then
-    check the slicing: the assembled retrieval of each file at base
-    (0,)*K, with each of its group rounds decoded again after
-    `tamper(group, server_pos, answer)`, by default the identity; tests
-    pass a hook that corrupts an answer.
+    `step` decodes every (theta, base) round once on the one-hot basis,
+    where returning theta's basis packets proves that round exact for
+    every group and every library (see the module docstring). `finish`
+    then checks the slicing with real bytes: the assembled retrieval of
+    each file at base (0,)*K, with each of its group rounds decoded again
+    after `tamper(group, server_pos, answer)`.
     """
-    failures = runs = 0
-    first = ""
 
-    def check(theta, base, answers, want, where):
-        nonlocal failures, runs, first
-        runs += 1
+    def __init__(self, plan: StoragePlan, layout: PacketLayout, library: FileLibrary, tamper):
+        self.plan, self.layout, self.library, self.tamper = plan, layout, library, tamper
+        self.wants = [b"".join(row) for row in _basis(layout.m, plan.k).packets]
+        self.failures = self.runs = 0
+        self.first = ""
+
+    def _fail(self, detail: str):
+        self.failures += 1
+        self.first = self.first or detail
+
+    def _check(self, theta, base, answers, want, where=""):
+        self.runs += 1
         try:
             if b"".join(decode(theta, base, answers)) == want:
                 return
+            violation = ""
         except ProtocolViolation:
-            where += " (protocol violation)"
-        failures += 1
-        first = first or f"file {theta} mis-decoded at {where}"
+            violation = " (protocol violation)"
+        self._fail(f"file {theta} mis-decoded at {where}base {base}{violation}")
 
-    basis = _basis(layout.m, plan.k)
-    for theta, base, answers in _basis_rounds(basis):
-        check(theta, base, answers, b"".join(basis.packets[theta - 1]), f"base {base}")
-    zero = (0,) * plan.k
-    for theta in range(1, plan.k + 1):
-        t = retrieve(theta, plan, layout, library, [zero] * len(layout.groups))
-        runs += len(t.groups)  # retrieve decodes each group round once
-        for g, region in zip(t.groups, layout.groups):
-            answers = [tamper(g.group, pos, a) for pos, a in enumerate(g.answers)]
-            want = library.file(theta)[region.file_offset : region.file_offset + region.group_bytes]
-            check(theta, zero, answers, want, f"group {g.group} base {zero}")
-        if t.decoded_file != library.file(theta):
-            failures += 1
-            first = first or f"file {theta} mis-decoded at assembled retrieval"
-    return AuditCheck(
-        name="correctness",
-        passed=failures == 0,
-        measured=f"{failures} failures in {runs} decodes",
-        expected="0 failures",
-        tag="exact-decoding",
-        detail=first,
-    )
+    def step(self, theta, base, queries, answers):
+        self._check(theta, base, answers, self.wants[theta - 1])
+
+    def finish(self) -> AuditCheck:
+        plan, layout, library = self.plan, self.layout, self.library
+        zero = (0,) * plan.k
+        for theta in range(1, plan.k + 1):
+            t = retrieve(theta, plan, layout, library, [zero] * len(layout.groups))
+            self.runs += len(t.groups)  # retrieve decodes each group round once
+            for g, region in zip(t.groups, layout.groups):
+                answers = [self.tamper(g.group, pos, a) for pos, a in enumerate(g.answers)]
+                want = library.file(theta)[region.file_offset : region.file_offset + region.group_bytes]
+                self._check(theta, zero, answers, want, f"group {g.group} ")
+            if t.decoded_file != library.file(theta):
+                self._fail(f"file {theta} mis-decoded at assembled retrieval")
+        return AuditCheck(
+            name="correctness",
+            passed=self.failures == 0,
+            measured=f"{self.failures} failures in {self.runs} decodes",
+            expected="0 failures",
+            tag="exact-decoding",
+            detail=self.first,
+        )
 
 
-def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
+def _as_sent(group: int, pos: int, reply: sfpir.Answer) -> sfpir.Answer:
+    """The identity tamper hook: every answer is checked as it was sent."""
+    return reply
+
+
+def correctness_audit(
+    plan: StoragePlan, layout: PacketLayout, library: FileLibrary, tamper=_as_sent
+) -> AuditCheck:
+    """The correctness fold (`_Correctness`) over one walk. Tests pass a
+    `tamper` hook that corrupts an answer."""
+    return _walk(layout.m, plan.k, [_Correctness(plan, layout, library, tamper)])[0]
+
+
+class _Rate:
     """The enumerated average download must equal the closed form
     L * (1 + 1/M + ... + 1/M^(K-1)) exactly, for every wanted file, with L
     the layout's file length. A group's download is its packet size times
     one (M, K) round's non-silent answers (see the module docstring),
-    counted once per file on the one-hot basis.
-    """
-    k, m = library.k_files, layout.m
-    expected = average_download(layout, k)
-    sent = Counter(
-        theta for theta, _, answers in _basis_rounds(_basis(m, k)) for a in answers if not a.silent
-    )
-    packet_bytes = sum(region.packet_bytes for region in layout.groups)
-    measured = [Fraction(packet_bytes * sent[theta], m**k) for theta in range(1, k + 1)]
-    passed = all(v == expected for v in measured)
-    return AuditCheck(
-        name="rate",
-        passed=passed,
-        measured=str(measured[0]) if len(set(measured)) == 1 else str(measured),
-        expected=str(expected),
-        tag="exact-average-download",
-        detail="" if passed else f"per-file averages {measured} vs {expected} symbols",
-    )
+    counted once per file on the one-hot basis."""
+
+    def __init__(self, layout: PacketLayout, k: int):
+        self.layout, self.k = layout, k
+        self.sent = Counter()
+
+    def step(self, theta, base, queries, answers):
+        self.sent[theta] += sum(not a.silent for a in answers)
+
+    def finish(self) -> AuditCheck:
+        layout, k = self.layout, self.k
+        expected = average_download(layout, k)
+        packet_bytes = sum(region.packet_bytes for region in layout.groups)
+        measured = [Fraction(packet_bytes * self.sent[theta], layout.m**k) for theta in range(1, k + 1)]
+        passed = all(v == expected for v in measured)
+        return AuditCheck(
+            name="rate",
+            passed=passed,
+            measured=str(measured[0]) if len(set(measured)) == 1 else str(measured),
+            expected=str(expected),
+            tag="exact-average-download",
+            detail="" if passed else f"per-file averages {measured} vs {expected} symbols",
+        )
+
+
+def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
+    """The rate fold (`_Rate`) over one walk."""
+    return _walk(layout.m, library.k_files, [_Rate(layout, library.k_files)])[0]
 
 
 def storage_audit(plan: StoragePlan, layout: PacketLayout) -> AuditCheck:
@@ -302,7 +366,7 @@ def _gf2_independent(rows) -> bool:
     return True
 
 
-def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
+class _Conditions:
     """Structural conditions on the answer coefficients, checked for every
     wanted file and every base vector of one (M, K) group:
 
@@ -314,41 +378,76 @@ def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
       file) are identical across all transmitted answers.
 
     The rows are the answers themselves, taken on the one-hot basis.
+
+    Only the statistic that decides each verdict is eliminated. Where
+    residual identity holds for the unwanted file o, every kept row is
+    wanted_i XOR e_o, with e_o the first row's bits outside the blocks of
+    the wanted file and of o. If e_o = 0 the kept rows are the wanted
+    rows. Otherwise e_o is linearly independent of the wanted block, so
+    mapping it to one fresh bit above every block is injective on their
+    span, and the kept rows are independent exactly when the rows
+    wanted_i | fresh are; that set is the same for every such o. An
+    honest round therefore runs at most two eliminations; only where
+    residual identity fails are the kept rows eliminated in full.
     """
-    width = m - 1  # coefficient bits per file; the virtual packet has none
-    violations = 0
-    first = ""
-    blocks = [((1 << width) - 1) << (f * width) for f in range(k)]  # bits of file f+1
 
-    def note(kind, theta, base):
-        nonlocal violations, first
-        violations += 1
-        first = first or f"{kind} violated for file {theta}, base {base}"
+    def __init__(self, m: int, k: int):
+        width = m - 1  # coefficient bits per file; the virtual packet has none
+        blocks = [((1 << width) - 1) << (f * width) for f in range(k)]  # bits of file f+1
+        # per wanted file: (~block_o, ~(block_theta | block_o)) for every unwanted o
+        self.others = [
+            [(~blocks[o], ~(blocks[t] | blocks[o])) for o in range(k) if o != t] for t in range(k)
+        ]
+        self.blocks = blocks
+        self.fresh = 1 << (k * width)
+        self.violations = 0
+        self.first = None  # (kind, theta, base) of the first violation
 
-    for theta, base, answers in _basis_rounds(_basis(m, k), query_fn):
+    def _note(self, kind, theta, base):
+        self.violations += 1
+        self.first = self.first or (kind, theta, base)
+
+    def step(self, theta, base, queries, answers):
         rows = [int.from_bytes(a.payload, "little") for a in answers if not a.silent]
-        wanted = [r & blocks[theta - 1] for r in rows]
-        if not _gf2_independent([r for r in wanted if r]):
-            note("retrieved-independence", theta, base)
+        own = self.blocks[theta - 1]
+        wanted = [r & own for r in rows]
+        retrieved = _gf2_independent([w for w in wanted if w])
+        if not retrieved:
+            self._note("retrieved-independence", theta, base)
+        head = rows[0] if rows else 0  # duplicate shifts at M = 2 can silence every server
         spread = 0  # the bits on which some row differs from the first
         for r in rows:
-            spread |= r ^ rows[0]
-        for other in range(1, k + 1):
-            if other == theta:
+            spread |= r ^ head
+        tagged = None  # independence of wanted_i | fresh, once some e_o != 0 needs it
+        for drop, outside in self.others[theta - 1]:
+            if spread & outside:
+                if not _gf2_independent([kept for r in rows if (kept := r & drop)]):
+                    self._note("requested-independence", theta, base)
+                self._note("residual-identity", theta, base)
                 continue
-            kept = [r & ~blocks[other - 1] for r in rows]
-            if not _gf2_independent([r for r in kept if r]):
-                note("requested-independence", theta, base)
-            if spread & ~(blocks[theta - 1] | blocks[other - 1]):
-                note("residual-identity", theta, base)
-    return AuditCheck(
-        name="conditions",
-        passed=violations == 0,
-        measured=violations,
-        expected=0,
-        tag="coefficient-structure",
-        detail=first,
-    )
+            if head & outside:
+                if tagged is None:
+                    tagged = _gf2_independent([w | self.fresh for w in wanted])
+                independent = tagged
+            else:
+                independent = retrieved
+            if not independent:
+                self._note("requested-independence", theta, base)
+
+    def finish(self) -> AuditCheck:
+        return AuditCheck(
+            name="conditions",
+            passed=self.violations == 0,
+            measured=self.violations,
+            expected=0,
+            tag="coefficient-structure",
+            detail="{} violated for file {}, base {}".format(*self.first) if self.first else "",
+        )
+
+
+def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
+    """The conditions fold (`_Conditions`) over one walk."""
+    return _walk(m, k, [_Conditions(m, k)], query_fn)[0]
 
 
 def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
@@ -411,13 +510,7 @@ def run_full_audit(n: int, m: int, k: int, seed: int = 0) -> AuditReport:
     require_retrieval_params(m, k)
     _check_bill(m, k)
     layout, plan, library = greedy_scheme(n, m, k, 1, seed)
-    return AuditReport(
-        [
-            storage_audit(plan, layout),
-            privacy_audit(layout, library),
-            correctness_audit(plan, layout, library),
-            rate_audit(layout, library),
-            conditions_audit(m, k),
-            *subpacketization_audit(n, m),
-        ]
-    )
+    folds = [_Privacy(m), _Correctness(plan, layout, library, _as_sent),
+             _Rate(layout, k), _Conditions(m, k)]
+    return AuditReport([storage_audit(plan, layout), *_walk(m, k, folds),
+                        *subpacketization_audit(n, m)])

@@ -1,6 +1,7 @@
 """The audits must pass on honest schemes and fail on each injected fault."""
 
 import dataclasses
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -287,7 +288,9 @@ class TestConditionsAudit:
             assert check.measured == per_file_violations(m, k, shifted_unwanted), (m, k)
 
     @pytest.mark.parametrize(
-        "m, k", [(2, 2), (2, 5), (2, 7), (3, 2), (3, 4), (4, 3), (5, 2), (5, 3)]
+        "m, k",
+        [(2, 2), (2, 5), (2, 7), (2, 9), (3, 2), (3, 4), (3, 5), (4, 3), (4, 4), (5, 2), (5, 3),
+         (6, 2)],
     )
     def test_count_matches_long_way(self, m, k):
         builders = (make_queries, queries_duplicate_shift, queries_missing_offset, shifted_unwanted)
@@ -308,16 +311,15 @@ def per_file_violations(m, k, query_fn):
     """The conditions count built the long way, sharing nothing with the
     audit but `answer`: its own one-hot basis and walk, every round
     answered afresh, one residual set per unwanted file, and a GF(2) rank
-    per row set."""
+    per distinct row set."""
     width = m - 1
     bits = [(1 << b).to_bytes((k * width + 7) // 8, "little") for b in range(k * width)]
     basis = GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
     blocks = [((1 << width) - 1) << (f * width) for f in range(k)]
 
-    def independent(rows):
-        """Whether the nonzero rows have full rank, eliminating the lowest
-        bit first."""
-        rows = [r for r in rows if r]
+    @functools.cache
+    def full_rank(rows):
+        """Whether the rows have full rank, eliminating the lowest bit first."""
         rank, left = 0, list(rows)
         for bit in range(k * width):
             pivot = next((r for r in left if r >> bit & 1), None)
@@ -326,6 +328,11 @@ def per_file_violations(m, k, query_fn):
                 left = [r ^ pivot if r >> bit & 1 else r for r in left]
                 rank += 1
         return rank == len(rows)
+
+    def independent(rows):
+        """Whether the nonzero rows have full rank; row sets repeat across
+        rounds, so each distinct one is ranked once."""
+        return full_rank(tuple(r for r in rows if r))
 
     violations = 0
     for theta in range(1, k + 1):
@@ -364,6 +371,23 @@ def test_round_audits_answer_each_distinct_query_once(monkeypatch, m, k):
         assert calls == m**k, name
         got = (check.passed, check.measured, check.detail)
         assert got == (plain[name].passed, plain[name].measured, plain[name].detail), name
+
+
+@pytest.mark.parametrize("n, m, k", [(4, 3, 3), (6, 5, 2)])
+def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
+    # privacy, correctness, rate and conditions share one walk, so the
+    # M^K distinct queries are answered once in all
+    plain = run_full_audit(n, m, k).table()
+    calls = 0
+
+    def counted(query, storage):
+        nonlocal calls
+        calls += 1
+        return answer(query, storage)
+
+    monkeypatch.setattr("scpir.audit.answer", counted)
+    assert run_full_audit(n, m, k).table() == plain
+    assert calls == m**k
 
 
 class TestSubpacketizationAudit:
