@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -166,6 +167,24 @@ class TestSimulate:
         assert code == 2
         assert stdout == ""
         assert message in stderr
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("--n 12 --m 5 --k 2 --theta 2 --seed 0",
+             "c687fba1a8a8f9144283a49718d7691a60b1931e69d1d1d6f2c7b5c9d344ed4a"),
+            ("--n 9 --m 4 --k 3 --theta 3 --seed 7 --l-mult 5",
+             "7457022cf738da9c154e2ae0f50d931069099846e1eb76568141051150c84fc5"),
+            ("--n 7 --m 3 --k 4 --theta 1 --seed 2 --l-mult 3",
+             "9d0737955fead842b0a50e4509406b37938a2c9c0c3f8ba4fab51039e7689ba8"),
+        ],
+    )
+    def test_transcript_is_pinned(self, capsys, argv, digest):
+        # every byte of the JSON transcript: bases, queries, silences,
+        # payload lengths and the download count
+        code, stdout, _ = run(capsys, "simulate", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 class TestAudit:

@@ -1,5 +1,6 @@
 """Placement planning and end-to-end retrieval on small instances."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -19,6 +20,10 @@ from scpir.scheme import (
     retrieve,
 )
 from scpir.sfpir import enumerate_realizations, random_base_vector
+
+
+# pinned while packets were still bytes inside the protocol round
+PINNED_RETRIEVAL_DIGEST = "8770e8d02a7614b606ceadbc413973315725169741671a8d61b9c08b50566b78"
 
 
 def greedy_alpha(n, m):
@@ -193,6 +198,30 @@ class TestRetrieve:
             assert all(type(p) is bytes for p in payloads)
             assert t.downloaded_symbols == sum(map(len, payloads))
             assert any(a.silent for a in t.groups[0].answers)
+
+    def test_retrievals_match_pinned_digest(self):
+        # sha256 over the decoded file, the download count and every answer's
+        # payload (None when silent) of seeded retrievals of every file; group
+        # 0's all-(M-1) base silences its interference holder
+        digest = hashlib.sha256()
+        for build, n, m, k, l_mult in [
+            (sda.build_greedy, 9, 4, 3, 2),
+            (sda.build_greedy, 12, 5, 2, 1),
+            (sda.build_greedy, 7, 3, 4, 3),
+            (sda.build_equal_size, 6, 4, 2, 2),
+            (sda.build_equal_size, 5, 2, 3, 4),
+        ]:
+            alpha = sda.alpha_from_profile(sda.column_profile(build(n, m)))
+            file_len = l_mult * minimal_length(n, m)
+            layout, plan = plan_storage(alpha, k, file_len)
+            library = random_library(k, file_len, seed=n * m + k)
+            rng = random.Random(100 * n + m)
+            for theta in range(1, k + 1):
+                bases = [(m - 1,) * k] + [random_base_vector(rng, m, k) for _ in layout.groups[1:]]
+                t = retrieve(theta, plan, layout, library, bases)
+                payloads = [a.payload for g in t.groups for a in g.answers]
+                digest.update(repr((t.decoded_file, t.downloaded_symbols, payloads)).encode())
+        assert digest.hexdigest() == PINNED_RETRIEVAL_DIGEST
 
     def test_argument_validation(self):
         layout, plan = plan_storage(greedy_alpha(2, 2), k=2, file_len=1)
