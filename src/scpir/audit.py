@@ -23,7 +23,7 @@ draws its own base vector, the query builder never sees the group, and
 The protocol is also linear: every answer and every decoded packet is an
 XOR of stored packets with 0/1 coefficients fixed by (theta, base) alone.
 On the one-hot basis, where packet i of file f+1 is the single bit
-f*(M-1)+i, an answer's payload is its coefficient row, and a round that
+f*(M-1)+i, an answer's `value` is its coefficient row, and a round that
 decodes the basis decodes every group of every library.
 
 The round-level audits (privacy, correctness, rate, conditions) are folds
@@ -139,7 +139,7 @@ def _check_bill(m: int, k: int) -> None:
 
 def _basis(m: int, k: int) -> sfpir.GroupStorage:
     """One group's storage in which packet i of file f+1 is the single bit
-    f*(M-1)+i, so an answer's payload is its coefficient row."""
+    f*(M-1)+i, so an answer's `value` is its coefficient row."""
     width = m - 1
     bits = [(1 << b).to_bytes((k * width + 7) // 8, "little") for b in range(k * width)]
     return sfpir.GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
@@ -193,8 +193,13 @@ class _Privacy:
         if self.views is None:
             return
         self.reference = self.reference or self.views
+        # dict equality is exact here: a view only ever counts up, so it never
+        # holds a zero count, and C-level dict.__eq__ skips Counter.__eq__'s
+        # Python-level walk that treats missing keys as zero
         self.mismatches += [
-            (pos, self.theta) for pos in range(self.m) if self.views[pos] != self.reference[pos]
+            (pos, self.theta)
+            for pos in range(self.m)
+            if not dict.__eq__(self.views[pos], self.reference[pos])
         ]
 
     def step(self, theta, base, queries, answers):
@@ -304,7 +309,7 @@ class _Rate:
         self.sent = Counter()
 
     def step(self, theta, base, queries, answers):
-        self.sent[theta] += sum(not a.silent for a in answers)
+        self.sent[theta] += sum(a.value is not None for a in answers)
 
     def finish(self) -> AuditCheck:
         layout, k = self.layout, self.k
@@ -377,7 +382,7 @@ class _Conditions:
     * the residual rows (all files except the wanted one and any one other
       file) are identical across all transmitted answers.
 
-    The rows are the answers themselves, taken on the one-hot basis.
+    The rows are the answers' values, taken on the one-hot basis.
 
     Only the statistic that decides each verdict is eliminated. Where
     residual identity holds for the unwanted file o, every kept row is
@@ -408,7 +413,7 @@ class _Conditions:
         self.first = self.first or (kind, theta, base)
 
     def step(self, theta, base, queries, answers):
-        rows = [int.from_bytes(a.payload, "little") for a in answers if not a.silent]
+        rows = [a.value for a in answers if a.value is not None]
         own = self.blocks[theta - 1]
         wanted = [r & own for r in rows]
         retrieved = _gf2_independent([w for w in wanted if w])

@@ -1,4 +1,11 @@
-"""Packet arithmetic for the linear retrieval scheme.
+"""Packet arithmetic on bytes, which the protocol no longer calls.
+
+`sfpir` keeps every packet of a round as one int from the moment a group's
+storage is built until `decode` hands back bytes, so nothing in `scpir`
+calls `add_packets` or `sum_packets`. The module stays only because the
+benchmark (`perfbench/workloads.py`) imports it and traces those two
+functions by name for its `packets.*` per-layer metrics, which therefore
+read 0 calls; it goes once the benchmark points those metrics elsewhere.
 
 A packet is a bytes-like string; each byte is an element of the order-256
 field with addition realized as XOR. The scheme only ever combines packets

@@ -231,7 +231,7 @@ def retrieve(
         queries = make_queries(theta, base, layout.m)
         answers = [answer(q, storage) for q in queries]
         segments.append(b"".join(decode(theta, base, answers)))
-        downloaded += sum(len(a.payload) for a in answers if not a.silent)
+        downloaded += sum(a.size for a in answers if not a.silent)
         rounds.append(
             GroupTranscript(index, region.servers, base, tuple(queries), tuple(answers))
         )

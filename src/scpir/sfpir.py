@@ -11,6 +11,14 @@ packet. Exactly one server's shifted coordinate lands on M-1; its answer
 is the interference term shared by all the others, which then peel out
 the M-1 wanted packets.
 
+Inside a round a packet is one little-endian int. Every coefficient is 0
+or 1 over the order-256 field, whose addition is bytewise XOR, so every
+answer and every decoded packet is an int XOR of whole packets. A group's
+storage reads each packet into an int once when it is built, answers
+carry an int and the packet size, and `decode` turns each decoded packet
+back into bytes once. Widths always come from the packet size, never from
+an int's bit length, so zero bytes at either end survive.
+
 Servers never see the wanted index: `answer` takes only the query and the
 stored packets. Download cost varies by realization; over all M^K base
 vectors the group transmits M^(K+1) - M packets in total. Walks over
@@ -18,10 +26,8 @@ them are priced by their caller (`audit`), not by the enumerator.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
-
-from .packets import DUMMY, add_packets, sum_packets
 
 
 class ProtocolViolation(RuntimeError):
@@ -30,13 +36,31 @@ class ProtocolViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class Answer:
-    """A server's reply: a packet payload, or None when it kept silent."""
+    """A server's reply: one packet as the little-endian int `value` of
+    `size` bytes, or silence (`value` None, `size` 0).
 
-    payload: bytes | None
+    `answer` builds replies from ints as `Answer(value, size)`;
+    `Answer(payload)` takes a bytes-like payload (or None for silence) and
+    converts it once. Replies are equal when their value and size are, so
+    `Answer(b)` equals the reply `answer` computes to the same bytes.
+    """
+
+    value: int | None
+    size: int = 0
+
+    def __post_init__(self):
+        if self.value is not None and not isinstance(self.value, int):
+            object.__setattr__(self, "size", len(self.value))
+            object.__setattr__(self, "value", int.from_bytes(self.value, "little"))
 
     @property
     def silent(self) -> bool:
-        return self.payload is None
+        return self.value is None
+
+    @property
+    def payload(self) -> bytes | None:
+        """The packet as `size` bytes, built on each read; None when silent."""
+        return None if self.value is None else self.value.to_bytes(self.size, "little")
 
 
 SILENT = Answer(None)
@@ -48,13 +72,17 @@ class GroupStorage:
 
     packets[k][i] is packet i of file k+1; all packets have equal length.
     Packets are bytes-like: `scheme.group_storage` hands out memoryview
-    slices of the library rather than copies, while answers built from
-    them are always `bytes`. The virtual packet at index M-1 is
-    represented by its absence.
+    slices of the library rather than copies. Building the grid reads each
+    packet once into values[k][i], a little-endian int, and keeps the
+    common length as `size` (0 when there are no packets); `answer` reads
+    only those. The virtual packet at index M-1 is represented by its
+    absence.
     """
 
     m: int
     packets: tuple[tuple[bytes | memoryview, ...], ...]
+    values: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -64,6 +92,10 @@ class GroupStorage:
             raise ValueError(f"every file needs exactly {self.m - 1} packets")
         if len(lengths) > 1:
             raise ValueError("packets in one group must have equal length")
+        object.__setattr__(self, "size", lengths.pop() if lengths else 0)
+        object.__setattr__(self, "values", tuple(
+            tuple(int.from_bytes(p, "little") for p in row) for row in self.packets
+        ))
 
     @property
     def k(self) -> int:
@@ -76,7 +108,7 @@ def _check_round(theta: int, base: tuple[int, ...], m: int) -> None:
     k = len(base)
     if not 1 <= theta <= k:
         raise ValueError(f"theta={theta} out of range 1..{k}")
-    if any(not 0 <= q < m for q in base):
+    if min(base) < 0 or max(base) >= m:  # base is not empty: theta indexes it
         raise ValueError(f"base vector {base} has entries outside 0..{m - 1}")
 
 
@@ -93,15 +125,20 @@ def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, .
 
 
 def answer(query: tuple[int, ...], storage: GroupStorage) -> Answer:
-    """A server's reply to one query; independent of which file is wanted."""
+    """A server's reply to one query; independent of which file is wanted.
+    It XORs the stored ints its query points at."""
     m = storage.m
-    if any(not 0 <= q < m for q in query):
+    if query and (min(query) < 0 or max(query) >= m):
         raise ValueError(f"query {query} has entries outside 0..{m - 1}")
     if len(query) != storage.k:
         raise ValueError(f"query length {len(query)} != K={storage.k}")
     if all(q == m - 1 for q in query):
         return SILENT
-    return Answer(sum_packets(storage.packets[k][q] for k, q in enumerate(query) if q != m - 1))
+    value = 0
+    for row, q in zip(storage.values, query):
+        if q != m - 1:
+            value ^= row[q]
+    return Answer(value, storage.size)
 
 
 def decode(theta: int, base: tuple[int, ...], answers: list[Answer]) -> list[bytes]:
@@ -114,25 +151,25 @@ def decode(theta: int, base: tuple[int, ...], answers: list[Answer]) -> list[byt
     """
     m = len(answers)
     _check_round(theta, base, m)
-    holder = (m - 1 - base[theta - 1]) % m
-    expect_silent = all(q == m - 1 for i, q in enumerate(base) if i != theta - 1)
+    shift = base[theta - 1]
+    holder = (m - 1 - shift) % m
+    # the holder is silent exactly when every other coordinate points at M-1
+    expect_silent = base.count(m - 1) - (shift == m - 1) == len(base) - 1
     for server, reply in enumerate(answers):
-        should = server == holder and expect_silent
-        if reply.silent != should:
+        silent = reply.value is None
+        if silent != (server == holder and expect_silent):
             raise ProtocolViolation(
                 f"server {server} with query {make_queries(theta, base, m)[server]} "
-                f"{'stayed silent' if reply.silent else 'answered'} unexpectedly"
+                f"{'stayed silent' if silent else 'answered'} unexpectedly"
             )
-    interference = DUMMY if answers[holder].silent else answers[holder].payload
-    lengths = {len(a.payload) for a in answers if not a.silent}
-    if len(lengths) > 1:
-        raise ProtocolViolation(f"answer payloads have mixed lengths {sorted(lengths)}")
-    packets = [DUMMY] * (m - 1)
-    for server in range(m):
-        if server == holder:
-            continue
-        index = (base[theta - 1] + server) % m
-        packets[index] = add_packets(answers[server].payload, interference)
+    sizes = {a.size for a in answers if a.value is not None}
+    if len(sizes) > 1:
+        raise ProtocolViolation(f"answer payloads have mixed lengths {sorted(sizes)}")
+    interference = answers[holder].value or 0
+    packets = []
+    for index in range(m - 1):  # packet index (shift + server) % M comes from server
+        reply = answers[(index - shift) % m]
+        packets.append((reply.value ^ interference).to_bytes(reply.size, "little"))
     return packets
 
 

@@ -2,9 +2,13 @@
 the construction promises."""
 
 import random
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scpir.sfpir import (
     SILENT,
@@ -113,6 +117,104 @@ class TestDecode:
     def test_mixed_lengths_are_a_violation(self):
         with pytest.raises(ProtocolViolation):
             decode(1, (0, 0), [Answer(b"\x33\x00"), Answer(b"\x22")])
+
+
+class TestIntegerPackets:
+    """Inside a round a packet is an int; widths come from the packet size,
+    so zero bytes at the end and empty packets survive."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((b"\x05\x00\x00", b"\x00\x00\x00"), (b"\x00\x00\x00", b"\x00\x07\x00")),
+            ((bytes(4), bytes(4)), (bytes(4), bytes(4))),
+            ((b"", b""), (b"", b"")),
+        ],
+        ids=["zero-tails", "all-zero", "zero-length"],
+    )
+    def test_replies_and_packets_keep_their_length(self, rows):
+        storage = GroupStorage(3, rows)
+        size = len(rows[0][0])
+        for theta in (1, 2):
+            for base in enumerate_realizations(3, 2):
+                answers = [answer(q, storage) for q in make_queries(theta, base, 3)]
+                assert all(len(a.payload) == size for a in answers if not a.silent)
+                assert decode(theta, base, answers) == list(rows[theta - 1])
+
+    @pytest.mark.parametrize("payload", [b"", b"\x00", b"\x00\x01", b"\x01\x00", bytes(5)])
+    def test_answer_from_bytes_round_trips(self, payload):
+        assert Answer(payload).payload == payload
+        assert type(Answer(payload).payload) is bytes
+        assert not Answer(payload).silent
+
+    def test_answer_from_bytes_equals_computed_reply(self):
+        storage = storage_2_2(b"\x11\x00", b"\x00\x00")
+        assert answer((0, 1), storage) == Answer(b"\x11\x00")
+        assert answer((0, 0), storage) == Answer(b"\x11\x00")
+        assert answer((1, 0), storage) == Answer(b"\x00\x00")
+        assert Answer(b"\x00\x00") != Answer(b"\x00") != Answer(b"") != SILENT
+        assert SILENT.payload is None and SILENT.silent
+
+    def test_longer_reply_of_equal_value_is_mixed_length(self):
+        # b"\x33" and b"\x33\x00" are the same int; only their sizes differ
+        with pytest.raises(ProtocolViolation, match=re.escape("mixed lengths [1, 2]")):
+            decode(1, (0, 0), [Answer(b"\x33\x00"), Answer(b"\x22")])
+        with pytest.raises(ProtocolViolation, match=re.escape("mixed lengths [1, 2]")):
+            decode(1, (0, 0), [Answer(b"\x33"), Answer(b"\x22\x00")])
+
+
+@st.composite
+def zero_tailed_storages(draw):
+    """A group of M <= 6 servers and K <= 4 files whose packets of 0..40
+    bytes end in a forced run of zero bytes."""
+    m, k = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    length = draw(st.integers(0, 40))
+    tail = draw(st.integers(0, length))
+    rows = tuple(
+        tuple(draw(st.binary(min_size=length - tail, max_size=length - tail)) + bytes(tail)
+              for _ in range(m - 1))
+        for _ in range(k)
+    )
+    return GroupStorage(m, rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(zero_tailed_storages())
+def test_every_round_decodes_zero_tailed_packets(storage):
+    m, k = storage.m, storage.k
+    replies = {q: answer(q, storage) for q in enumerate_realizations(m, k)}
+    for theta in range(1, k + 1):
+        for base in enumerate_realizations(m, k):
+            answers = [replies[q] for q in make_queries(theta, base, m)]
+            assert decode(theta, base, answers) == list(storage.packets[theta - 1])
+
+
+def out_of_range_reference(vec, m):
+    """The per-entry range test: the reference for the min/max form in
+    `make_queries`, `decode` and `answer`."""
+    return any(not 0 <= q < m for q in vec)
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (2, 3), (3, 2), (4, 3)])
+def test_range_checks_match_per_entry_reference(m, k):
+    storage = random_storage(random.Random(m * 10 + k), m, k)
+    outside = f"outside 0..{m - 1}"
+    for vec in product((-1, 0, m - 1, m, m + 1), repeat=k):
+        bad = out_of_range_reference(vec, m)
+        for theta in range(1, k + 1):
+            if bad:
+                with pytest.raises(ValueError, match=re.escape(f"base vector {vec} has entries {outside}")):
+                    make_queries(theta, vec, m)
+                with pytest.raises(ValueError, match=re.escape(f"base vector {vec} has entries {outside}")):
+                    decode(theta, vec, [SILENT] * m)
+            else:
+                answers = [answer(q, storage) for q in make_queries(theta, vec, m)]
+                assert decode(theta, vec, answers) == list(storage.packets[theta - 1])
+        if bad:
+            with pytest.raises(ValueError, match=re.escape(f"query {vec} has entries {outside}")):
+                answer(vec, storage)
+        else:
+            answer(vec, storage)
 
 
 class TestEnumerateRealizations:
