@@ -128,7 +128,7 @@ def answer(query: tuple[int, ...], storage: GroupStorage) -> Answer:
     """A server's reply to one query; independent of which file is wanted.
     It XORs the stored ints its query points at."""
     m = storage.m
-    if query and (min(query) < 0 or max(query) >= m):
+    if query and (min(query) < 0 or max(query) >= m):  # empty: left to the K check
         raise ValueError(f"query {query} has entries outside 0..{m - 1}")
     if len(query) != storage.k:
         raise ValueError(f"query length {len(query)} != K={storage.k}")
