@@ -390,6 +390,39 @@ def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
     assert calls == m**k
 
 
+def flip_first_answer(gi, pos, a):
+    """Tamper hook: flip the top bit of group 0's first non-silent answer."""
+    if gi == 0 and pos == 0 and not a.silent:
+        return Answer(bytes([a.payload[0] ^ 0x80]) + a.payload[1:])
+    return a
+
+
+def silence_first_answer(gi, pos, a):
+    """Tamper hook: silence the first server of group 0."""
+    return SILENT if gi == 0 and pos == 0 else a
+
+
+def test_fault_paths_match_pinned_digest():
+    # every field of the round audits under the honest and two faulty query
+    # builders, and of correctness under two tamper hooks, for every
+    # 2 <= M <= 9 and K >= 1 with M^K <= 256, on the greedy (M+1, M) layout
+    digest = hashlib.sha256()
+    shapes = [(m, k) for m in range(2, 10) for k in range(1, 9) if m**k <= 256]
+    for m, k in shapes:
+        layout, plan, library = build_instance(m + 1, m, k)
+        checks = [rate_audit(layout, library)]
+        for query_fn in (make_queries, queries_missing_offset, queries_duplicate_shift):
+            checks.append(privacy_audit(layout, library, query_fn=query_fn))
+            checks.append(conditions_audit(m, k, query_fn=query_fn))
+        for tamper in (flip_first_answer, silence_first_answer):
+            checks.append(correctness_audit(plan, layout, library, tamper=tamper))
+        checks.append(correctness_audit(plan, layout, library))
+        for c in checks:
+            digest.update(repr((c.name, c.passed, c.measured, c.expected, c.detail)).encode())
+    assert len(shapes) == 29
+    assert digest.hexdigest() == "ae3c848fa20587cfd0547a9f9777809327856639495e9866028bb75de7cdfb9a"
+
+
 class TestSubpacketizationAudit:
     def as_map(self, n, m):
         return {c.name: c for c in subpacketization_audit(n, m)}
