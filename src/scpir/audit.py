@@ -30,11 +30,19 @@ The round-level audits (privacy, correctness, rate, conditions) are folds
 over one walk of the K*M^K (theta, base) rounds, refused up front when
 their K*M^(K+1) queries are over MAX_REALIZATIONS. Those rounds hold only
 M^K distinct queries, so the walk answers each once on the basis and
-replays the reply from a memo that ends with the walk; `run_full_audit`
-hands every round to all four folds, so its whole run answers M^K
-queries. Each fold keeps only its sufficient statistic: per-position
-query counts, decodes, non-silent answers, and, for the conditions, at
-most two GF(2) eliminations per honest round.
+replays the reply, with the first tuple it saw for that query, from a
+memo that ends with the walk; `run_full_audit` hands every round to all
+four folds, so its whole run answers M^K queries. The walk streams: each
+round goes to the folds as it is made. Each fold keeps only its
+sufficient statistic, with little Python work per round:
+
+* privacy appends the round's queries, the memo's tuples, to the current
+  file's list in one call and counts each server position's queries
+  when the file ends;
+* correctness compares `decode`'s packet list with the basis packets;
+* rate counts the round's non-silent answers;
+* conditions looks up its two GF(2) verdicts by the round's wanted rows,
+  so it eliminates only wanted rows it has not met before in the walk.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -45,6 +53,9 @@ checks fail.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
+from operator import or_
 
 from . import sda, sfpir
 from .scheme import (
@@ -125,11 +136,12 @@ def _check_bill(m: int, k: int) -> None:
     """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
     MAX_REALIZATIONS. The one walk answers only its M^K distinct queries,
     and each fold does a bounded amount of work per round of M walked
-    queries: privacy counts them, correctness decodes the round once, rate
-    counts its non-silent replies, and conditions runs at most two GF(2)
-    eliminations of at most M rows on an honest round, besides one mask
-    test per unwanted file. M^64 alone exceeds the budget for M >= 2, so
-    the power stops there."""
+    queries: privacy appends them to a list it counts once per file,
+    correctness decodes the round once, rate counts its non-silent
+    replies, and conditions runs at most two GF(2) eliminations of at most
+    M rows, and none for wanted rows it met before, besides a few mask
+    tests. M^64 alone exceeds the budget for M >= 2, so the power stops
+    there."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -147,19 +159,27 @@ def _basis(m: int, k: int) -> sfpir.GroupStorage:
 
 def _basis_rounds(basis: sfpir.GroupStorage, query_fn=make_queries):
     """Yield (theta, base, queries, answers) for every wanted file and base
-    vector of one (M, K) group, answered on `basis`. A reply is a function
-    of its query and the storage alone, so each distinct query (at most
-    M^K of them) is answered once; the memo lives only as long as this
-    walk."""
+    vector of one (M, K) group, answered on `basis`; queries and answers
+    are tuples, one entry per server. A reply is a function of its query
+    and the storage alone, so each distinct query (at most M^K of them) is
+    answered once, on the first round that misses it in the memo. The memo
+    also hands out the first tuple it saw for each query, so a fold that
+    keeps queries holds references, not copies; it lives only as long as
+    this walk."""
     m, k = basis.m, basis.k
-    replies = {}
+    memo = {}  # query -> (the first tuple seen for it, its reply)
+    lookup = memo.__getitem__
     for theta in range(1, k + 1):
         for base in enumerate_realizations(m, k):
             queries = query_fn(theta, base, m)
-            for q in queries:
-                if q not in replies:
-                    replies[q] = answer(q, basis)
-            yield theta, base, queries, [replies[q] for q in queries]
+            try:
+                queries, answers = zip(*map(lookup, queries))
+            except KeyError:
+                for q in queries:
+                    if q not in memo:
+                        memo[q] = q, answer(q, basis)
+                queries, answers = zip(*map(lookup, queries))
+            yield theta, base, queries, answers
 
 
 def _walk(m: int, k: int, folds, query_fn=make_queries) -> list:
@@ -179,36 +199,38 @@ class _Privacy:
     base vectors must be the same for every wanted file as for file 1.
     That one (M, K) round decides every server's whole view, in every
     group and jointly over its groups (see the module docstring). Rounds
-    arrive file by file, so only file 1's views and the current file's
-    are held."""
+    arrive file by file. `step` appends a round's M queries, the walk's
+    shared tuples, to the current file's list in one call; closing the
+    file counts each position's queries (every M-th entry) into a
+    `Counter`. Only file 1's views and the current file's queries are
+    held."""
 
     def __init__(self, m: int):
         self.m = m
         self.theta = 0
-        self.views = self.reference = None
+        self.sent = []  # the current file's queries, round after round
+        self.reference = []  # file 1's view per position
         self.mismatches = []  # (position, file) whose view differs from file 1's
-        self.interned = {}  # one tuple per distinct query, shared by every view
 
     def _close_file(self):
-        if self.views is None:
+        if not self.sent:
             return
-        self.reference = self.reference or self.views
-        # dict equality is exact here: a view only ever counts up, so it never
-        # holds a zero count, and C-level dict.__eq__ skips Counter.__eq__'s
+        m, first = self.m, not self.reference
+        # dict equality is exact here: a Counter built by counting holds no
+        # zero count, and C-level dict.__eq__ skips Counter.__eq__'s
         # Python-level walk that treats missing keys as zero
-        self.mismatches += [
-            (pos, self.theta)
-            for pos in range(self.m)
-            if not dict.__eq__(self.views[pos], self.reference[pos])
-        ]
+        for pos in range(m):
+            view = Counter(islice(self.sent, pos, None, m))
+            if first:
+                self.reference.append(view)
+            elif not dict.__eq__(view, self.reference[pos]):
+                self.mismatches.append((pos, self.theta))
 
     def step(self, theta, base, queries, answers):
         if theta != self.theta:
             self._close_file()
-            self.theta, self.views = theta, [Counter() for _ in range(self.m)]
-        intern = self.interned.setdefault
-        for view, query in zip(self.views, queries):
-            view[intern(query, query)] += 1
+            self.theta, self.sent = theta, []
+        self.sent += queries
 
     def finish(self) -> AuditCheck:
         self._close_file()
@@ -241,7 +263,7 @@ class _Correctness:
 
     def __init__(self, plan: StoragePlan, layout: PacketLayout, library: FileLibrary, tamper):
         self.plan, self.layout, self.library, self.tamper = plan, layout, library, tamper
-        self.wants = [b"".join(row) for row in _basis(layout.m, plan.k).packets]
+        self.wants = [list(row) for row in _basis(layout.m, plan.k).packets]
         self.failures = self.runs = 0
         self.first = ""
 
@@ -252,7 +274,7 @@ class _Correctness:
     def _check(self, theta, base, answers, want, where=""):
         self.runs += 1
         try:
-            if b"".join(decode(theta, base, answers)) == want:
+            if decode(theta, base, answers) == want:
                 return
             violation = ""
         except ProtocolViolation:
@@ -268,11 +290,13 @@ class _Correctness:
         for theta in range(1, plan.k + 1):
             t = retrieve(theta, plan, layout, library, [zero] * len(layout.groups))
             self.runs += len(t.groups)  # retrieve decodes each group round once
+            file = library.file(theta)
             for g, region in zip(t.groups, layout.groups):
                 answers = [self.tamper(g.group, pos, a) for pos, a in enumerate(g.answers)]
-                want = library.file(theta)[region.file_offset : region.file_offset + region.group_bytes]
+                start, size = region.file_offset, region.packet_bytes
+                want = [file[start + i * size : start + (i + 1) * size] for i in range(layout.m - 1)]
                 self._check(theta, zero, answers, want, f"group {g.group} ")
-            if t.decoded_file != library.file(theta):
+            if t.decoded_file != file:
                 self._fail(f"file {theta} mis-decoded at assembled retrieval")
         return AuditCheck(
             name="correctness",
@@ -309,7 +333,11 @@ class _Rate:
         self.sent = Counter()
 
     def step(self, theta, base, queries, answers):
-        self.sent[theta] += sum(a.value is not None for a in answers)
+        sent = 0
+        for reply in answers:
+            if reply.value is not None:
+                sent += 1
+        self.sent[theta] += sent
 
     def finish(self) -> AuditCheck:
         layout, k = self.layout, self.k
@@ -391,9 +419,14 @@ class _Conditions:
     rows. Otherwise e_o is linearly independent of the wanted block, so
     mapping it to one fresh bit above every block is injective on their
     span, and the kept rows are independent exactly when the rows
-    wanted_i | fresh are; that set is the same for every such o. An
-    honest round therefore runs at most two eliminations; only where
-    residual identity fails are the kept rows eliminated in full.
+    wanted_i | fresh are; that set is the same for every such o. So an
+    honest round needs two verdicts, retrieved (the nonzero wanted rows)
+    and tagged (every wanted_i | fresh). Both depend on the tuple of
+    wanted rows alone, whatever built the queries, so the fold keeps them
+    per tuple for the walk and eliminates only tuples it has not met; only
+    where residual identity fails are the kept rows eliminated in full.
+    A round where residual identity holds for every unwanted file and both
+    verdicts hold has nothing to note and skips the per-file loop.
     """
 
     def __init__(self, m: int, k: int):
@@ -403,8 +436,11 @@ class _Conditions:
         self.others = [
             [(~blocks[o], ~(blocks[t] | blocks[o])) for o in range(k) if o != t] for t in range(k)
         ]
+        # per wanted file: the bits outside block_theta | block_o for some unwanted o
+        self.loose = [reduce(or_, (outside for _, outside in others), 0) for others in self.others]
         self.blocks = blocks
         self.fresh = 1 << (k * width)
+        self.verdicts = {}  # wanted rows -> (retrieved, tagged) independence
         self.violations = 0
         self.first = None  # (kind, theta, base) of the first violation
 
@@ -413,30 +449,38 @@ class _Conditions:
         self.first = self.first or (kind, theta, base)
 
     def step(self, theta, base, queries, answers):
-        rows = [a.value for a in answers if a.value is not None]
         own = self.blocks[theta - 1]
-        wanted = [r & own for r in rows]
-        retrieved = _gf2_independent([w for w in wanted if w])
+        rows, wanted = [], []
+        union, common = 0, -1  # the bits some row has, and the bits every row has
+        for reply in answers:
+            if (row := reply.value) is not None:
+                rows.append(row)
+                wanted.append(row & own)
+                union |= row
+                common &= row
+        wanted = tuple(wanted)
+        verdicts = self.verdicts.get(wanted)
+        if verdicts is None:
+            verdicts = self.verdicts[wanted] = (
+                _gf2_independent([w for w in wanted if w]),
+                _gf2_independent([w | self.fresh for w in wanted]),
+            )
+        retrieved, tagged = verdicts
+        # the bits on which some row differs from the others; duplicate shifts
+        # at M = 2 can silence every server, and then nothing differs
+        spread = union & ~common
+        if retrieved and tagged and not spread & self.loose[theta - 1]:
+            return  # residual identity holds for every unwanted file, and so does independence
         if not retrieved:
             self._note("retrieved-independence", theta, base)
-        head = rows[0] if rows else 0  # duplicate shifts at M = 2 can silence every server
-        spread = 0  # the bits on which some row differs from the first
-        for r in rows:
-            spread |= r ^ head
-        tagged = None  # independence of wanted_i | fresh, once some e_o != 0 needs it
+        head = rows[0] if rows else 0
         for drop, outside in self.others[theta - 1]:
             if spread & outside:
                 if not _gf2_independent([kept for r in rows if (kept := r & drop)]):
                     self._note("requested-independence", theta, base)
                 self._note("residual-identity", theta, base)
                 continue
-            if head & outside:
-                if tagged is None:
-                    tagged = _gf2_independent([w | self.fresh for w in wanted])
-                independent = tagged
-            else:
-                independent = retrieved
-            if not independent:
+            if not (tagged if head & outside else retrieved):
                 self._note("requested-independence", theta, base)
 
     def finish(self) -> AuditCheck:

@@ -26,6 +26,7 @@ them are priced by their caller (`audit`), not by the enumerator.
 """
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -34,7 +35,7 @@ class ProtocolViolation(RuntimeError):
     """Answers are inconsistent with the protocol's transcript structure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Answer:
     """A server's reply: one packet as the little-endian int `value` of
     `size` bytes, or silence (`value` None, `size` 0).
@@ -42,16 +43,27 @@ class Answer:
     `answer` builds replies from ints as `Answer(value, size)`;
     `Answer(payload)` takes a bytes-like payload (or None for silence) and
     converts it once. Replies are equal when their value and size are, so
-    `Answer(b)` equals the reply `answer` computes to the same bytes.
+    `Answer(b)` equals the reply `answer` computes to the same bytes. An
+    int value must fit in `size` bytes: a negative or wider one raises
+    ValueError here, so reading `payload` or decoding never overflows.
+    Slots keep each reply small: an audit walk's memo holds one per
+    distinct query.
     """
 
     value: int | None
     size: int = 0
 
     def __post_init__(self):
-        if self.value is not None and not isinstance(self.value, int):
-            object.__setattr__(self, "size", len(self.value))
-            object.__setattr__(self, "value", int.from_bytes(self.value, "little"))
+        value = self.value
+        if value is None:
+            return
+        if not isinstance(value, int):
+            object.__setattr__(self, "size", len(value))
+            object.__setattr__(self, "value", int.from_bytes(value, "little"))
+        elif value < 0:
+            raise ValueError("answer value is negative")
+        elif value.bit_length() > 8 * self.size:
+            raise ValueError(f"answer value of {value.bit_length()} bits does not fit in {self.size} bytes")
 
     @property
     def silent(self) -> bool:
@@ -116,10 +128,9 @@ def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, .
     """Queries for servers 0..M-1: the base vector with coordinate theta
     (1-based) shifted by the server index modulo M."""
     _check_round(theta, base, m)
-    queries = []
-    for server in range(m):
-        vec = list(base)
-        vec[theta - 1] = (base[theta - 1] + server) % m
+    vec, shift, queries = list(base), base[theta - 1], []
+    for server in range(m):  # one list, overwritten at the wanted coordinate
+        vec[theta - 1] = (shift + server) % m
         queries.append(tuple(vec))
     return queries
 
@@ -141,13 +152,16 @@ def answer(query: tuple[int, ...], storage: GroupStorage) -> Answer:
     return Answer(value, storage.size)
 
 
-def decode(theta: int, base: tuple[int, ...], answers: list[Answer]) -> list[bytes]:
+def decode(theta: int, base: tuple[int, ...], answers: Sequence[Answer]) -> list[bytes]:
     """Recover the M-1 packets of file theta from one round of answers.
 
     The server whose shifted coordinate landed on M-1 supplied the
     interference term (or stayed silent when the term is empty, which the
     base vector predicts exactly); subtracting it from every other answer
-    yields the wanted packets in index order.
+    yields the wanted packets in index order. One pass reads the replies'
+    values and sizes; silence is then checked by counting the silent
+    replies and testing the holder, and only a violation walks the
+    servers, to name the first whose silence is wrong.
     """
     m = len(answers)
     _check_round(theta, base, m)
@@ -155,21 +169,28 @@ def decode(theta: int, base: tuple[int, ...], answers: list[Answer]) -> list[byt
     holder = (m - 1 - shift) % m
     # the holder is silent exactly when every other coordinate points at M-1
     expect_silent = base.count(m - 1) - (shift == m - 1) == len(base) - 1
-    for server, reply in enumerate(answers):
-        silent = reply.value is None
-        if silent != (server == holder and expect_silent):
-            raise ProtocolViolation(
-                f"server {server} with query {make_queries(theta, base, m)[server]} "
-                f"{'stayed silent' if silent else 'answered'} unexpectedly"
-            )
-    sizes = {a.size for a in answers if a.value is not None}
-    if len(sizes) > 1:
-        raise ProtocolViolation(f"answer payloads have mixed lengths {sorted(sizes)}")
-    interference = answers[holder].value or 0
+    size = answers[holder - 1].size  # a sender's, once only the holder may be silent
+    values, mixed = [], False
+    for reply in answers:
+        values.append(reply.value)
+        if reply.size != size and reply.value is not None:
+            mixed = True
+    if values.count(None) != expect_silent or (expect_silent and values[holder] is not None):
+        for server, value in enumerate(values):  # name the first server whose silence is wrong
+            silent = value is None
+            if silent != (server == holder and expect_silent):
+                raise ProtocolViolation(
+                    f"server {server} with query {make_queries(theta, base, m)[server]} "
+                    f"{'stayed silent' if silent else 'answered'} unexpectedly"
+                )
+    if mixed:
+        sizes = sorted({a.size for a in answers if a.value is not None})
+        raise ProtocolViolation(f"answer payloads have mixed lengths {sizes}")
+    interference = values[holder] or 0
     packets = []
-    for index in range(m - 1):  # packet index (shift + server) % M comes from server
-        reply = answers[(index - shift) % m]
-        packets.append((reply.value ^ interference).to_bytes(reply.size, "little"))
+    # packet index i comes from server (i - shift) % M: the servers after the holder
+    for value in values[holder + 1 :] + values[:holder]:
+        packets.append((value ^ interference).to_bytes(size, "little"))
     return packets
 
 

@@ -62,6 +62,18 @@ class TestPrivacyAudit:
             assert not check.passed, (n, m, k)
             assert "separate requests" in check.detail
 
+    def test_names_the_leaking_position(self):
+        # only server 1 sees the bare base with the wanted coordinate zeroed
+        def leak_at_server_1(theta, base, m):
+            queries = make_queries(theta, base, m)
+            queries[1] = base[: theta - 1] + (0,) + base[theta:]
+            return queries
+
+        layout, _, library = build_instance(4, 3, 3)
+        check = privacy_audit(layout, library, query_fn=leak_at_server_1)
+        assert (check.passed, check.measured) == (False, 2)  # position 1, files 2 and 3
+        assert check.detail.startswith("the server at position 1 of every group")
+
 
 @st.composite
 def audit_instances(draw):
@@ -390,8 +402,16 @@ def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
     assert calls == m**k
 
 
+@pytest.mark.parametrize("query_fn", [make_queries, queries_duplicate_shift])
+def test_walk_hands_out_one_tuple_per_distinct_query(query_fn):
+    # folds that keep queries keep references to the walk's memo, not copies
+    rounds = audit._basis_rounds(audit._basis(3, 3), query_fn)
+    seen = [q for _, _, queries, _ in rounds for q in queries]
+    assert len({id(q) for q in seen}) == len(set(seen)) == 3**3
+
+
 def flip_first_answer(gi, pos, a):
-    """Tamper hook: flip the top bit of group 0's first non-silent answer."""
+    """Tamper hook: flip the top bit of group 0's server-0 answer when it speaks."""
     if gi == 0 and pos == 0 and not a.silent:
         return Answer(bytes([a.payload[0] ^ 0x80]) + a.payload[1:])
     return a

@@ -162,6 +162,109 @@ class TestIntegerPackets:
         with pytest.raises(ProtocolViolation, match=re.escape("mixed lengths [1, 2]")):
             decode(1, (0, 0), [Answer(b"\x33"), Answer(b"\x22\x00")])
 
+    @pytest.mark.parametrize("value, size", [(0, 0), (255, 1), (2**16 - 1, 2), (1, 5)])
+    def test_answer_accepts_values_that_fit(self, value, size):
+        reply = Answer(value, size)
+        assert int.from_bytes(reply.payload, "little") == value and len(reply.payload) == size
+
+    @pytest.mark.parametrize("value, size", [(-1, 1), (-(2**20), 4), (-1, 0)])
+    def test_answer_rejects_negative_values(self, value, size):
+        with pytest.raises(ValueError, match="^answer value is negative$"):
+            Answer(value, size)
+
+    @pytest.mark.parametrize("value, size", [(1 << 20, 1), (256, 1), (1, 0), (2**16, 2)])
+    def test_answer_rejects_values_wider_than_size(self, value, size):
+        bits = value.bit_length()
+        with pytest.raises(ValueError, match=f"^answer value of {bits} bits does not fit in {size} bytes$"):
+            Answer(value, size)
+
+
+def reference_make_queries(theta, base, m):
+    """The per-entry query builder that `make_queries` replaced: one list
+    copy of the base per server."""
+    queries = []
+    for server in range(m):
+        vec = list(base)
+        vec[theta - 1] = (base[theta - 1] + server) % m
+        queries.append(tuple(vec))
+    return queries
+
+
+def reference_decode(theta, base, answers):
+    """The per-server `decode` that the one-pass silence test replaced,
+    with the range checks written per entry."""
+    m = len(answers)
+    if not 1 <= theta <= len(base):
+        raise ValueError(f"theta={theta} out of range 1..{len(base)}")
+    if any(not 0 <= q < m for q in base):
+        raise ValueError(f"base vector {base} has entries outside 0..{m - 1}")
+    shift = base[theta - 1]
+    holder = (m - 1 - shift) % m
+    expect_silent = base.count(m - 1) - (shift == m - 1) == len(base) - 1
+    for server, reply in enumerate(answers):
+        silent = reply.value is None
+        if silent != (server == holder and expect_silent):
+            raise ProtocolViolation(
+                f"server {server} with query {reference_make_queries(theta, base, m)[server]} "
+                f"{'stayed silent' if silent else 'answered'} unexpectedly"
+            )
+    sizes = {a.size for a in answers if a.value is not None}
+    if len(sizes) > 1:
+        raise ProtocolViolation(f"answer payloads have mixed lengths {sorted(sizes)}")
+    interference = answers[holder].value or 0
+    packets = []
+    for index in range(m - 1):
+        reply = answers[(index - shift) % m]
+        packets.append((reply.value ^ interference).to_bytes(reply.size, "little"))
+    return packets
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except (ValueError, ProtocolViolation) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def protocol_rounds(draw):
+    """A group of M <= 7 servers and K <= 6 files with packets of 0..3
+    bytes, and one base vector."""
+    m, k = draw(st.integers(2, 7)), draw(st.integers(1, 6))
+    length = draw(st.integers(0, 3))
+    rows = tuple(
+        tuple(draw(st.binary(min_size=length, max_size=length)) for _ in range(m - 1))
+        for _ in range(k)
+    )
+    base = tuple(draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k)))
+    return GroupStorage(m, rows), base
+
+
+@settings(max_examples=25, deadline=None)
+@given(protocol_rounds())
+def test_queries_and_decode_match_reference(instance):
+    # every theta, on the drawn base and on the base whose holder must stay
+    # silent; every pattern of silent and answering servers, and each reply
+    # made a byte longer: the same packets, or the same exception naming the
+    # same server, as the per-server reference
+    storage, drawn = instance
+    m, k = storage.m, storage.k
+    spoken = Answer(0, storage.size)  # a reply from a server that should stay silent
+    for theta, base in product(range(1, k + 1), (drawn, None)):
+        base = base or (m - 1,) * (theta - 1) + (drawn[theta - 1],) + (m - 1,) * (k - theta)
+        queries = make_queries(theta, base, m)
+        assert queries == reference_make_queries(theta, base, m)
+        answers = [answer(q, storage) for q in queries]
+        assert decode(theta, base, answers) == reference_decode(theta, base, answers)
+        for silenced in product((False, True), repeat=m):
+            sent = [SILENT if hush else spoken if a.silent else a for a, hush in zip(answers, silenced)]
+            assert outcome(decode, theta, base, sent) == outcome(reference_decode, theta, base, sent)
+        for server, a in enumerate(answers):
+            if not a.silent:
+                longer = answers[:server] + [Answer(a.value, a.size + 1)] + answers[server + 1 :]
+                assert outcome(decode, theta, base, longer) == outcome(reference_decode, theta, base, longer)
+
 
 @st.composite
 def zero_tailed_storages(draw):
