@@ -30,19 +30,28 @@ The round-level audits (privacy, correctness, rate, conditions) are folds
 over one walk of the K*M^K (theta, base) rounds, refused up front when
 their K*M^(K+1) queries are over MAX_REALIZATIONS. Those rounds hold only
 M^K distinct queries, so the walk answers each once on the basis and
-replays the reply, with the first tuple it saw for that query, from a
-memo that ends with the walk; `run_full_audit` hands every round to all
-four folds, so its whole run answers M^K queries. The walk streams: each
-round goes to the folds as it is made. Each fold keeps only its
-sufficient statistic, with little Python work per round:
+replays the reply, with the first tuple it saw for that query and the
+reply's row (its `value`), from a memo that ends with the walk;
+`run_full_audit` hands every round to all four folds, so its whole run
+answers M^K queries. Each round is validated once, by `decode`: the walk
+enumerates only valid (theta, base), so its default query builder is
+`make_queries` without the range check.
 
-* privacy appends the round's queries, the memo's tuples, to the current
-  file's list in one call and counts each server position's queries
-  when the file ends;
-* correctness compares `decode`'s packet list with the basis packets;
-* rate counts the round's non-silent answers;
-* conditions looks up its two GF(2) verdicts by the round's wanted rows,
-  so it eliminates only wanted rows it has not met before in the walk.
+A fold is per round, per file, or both. Per-round folds stream: each
+round goes to their `step` as it is made. The walk itself keeps the
+current file's queries and rows, one entry per server per round, and
+hands them to every per-file fold's `close` when the file ends; it never
+holds more than one file. Each fold keeps only its sufficient statistic,
+with little Python work per round:
+
+* privacy (per file) counts each server position's queries, the memo's
+  tuples;
+* correctness (per round) compares `decode`'s packet list with the basis
+  packets;
+* rate (per file) counts the file's non-silent rows;
+* conditions (per round) reads the round's rows and looks up its two
+  GF(2) verdicts by its wanted rows, so it eliminates only wanted rows it
+  has not met before in the walk.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -67,7 +76,7 @@ from .scheme import (
     require_retrieval_params,
     retrieve,
 )
-from .sfpir import ProtocolViolation, answer, decode, enumerate_realizations, make_queries
+from .sfpir import ProtocolViolation, _queries, answer, decode, enumerate_realizations, make_queries
 
 
 @dataclass(frozen=True)
@@ -134,14 +143,14 @@ MAX_REALIZATIONS = 10**6  # walked queries one round walk may count or check
 
 def _check_bill(m: int, k: int) -> None:
     """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
-    MAX_REALIZATIONS. The one walk answers only its M^K distinct queries,
-    and each fold does a bounded amount of work per round of M walked
-    queries: privacy appends them to a list it counts once per file,
-    correctness decodes the round once, rate counts its non-silent
-    replies, and conditions runs at most two GF(2) eliminations of at most
-    M rows, and none for wanted rows it met before, besides a few mask
-    tests. M^64 alone exceeds the budget for M >= 2, so the power stops
-    there."""
+    MAX_REALIZATIONS. The one walk answers only its M^K distinct queries
+    and adds each round's M queries and rows to the current file's lists.
+    Each fold does a bounded amount of work per round: correctness
+    decodes the round once, which validates it, and conditions runs at
+    most two GF(2) eliminations of at most M rows, and none for wanted
+    rows it met before, besides a few mask tests. Privacy and rate work
+    once per file, counting the file's M*M^K queries or rows. M^64 alone
+    exceeds the budget for M >= 2, so the power stops there."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -157,40 +166,54 @@ def _basis(m: int, k: int) -> sfpir.GroupStorage:
     return sfpir.GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
 
 
-def _basis_rounds(basis: sfpir.GroupStorage, query_fn=make_queries):
-    """Yield (theta, base, queries, answers) for every wanted file and base
-    vector of one (M, K) group, answered on `basis`; queries and answers
-    are tuples, one entry per server. A reply is a function of its query
+def _basis_rounds(basis: sfpir.GroupStorage, query_fn=_queries):
+    """Yield (theta, base, queries, answers, rows) for every wanted file
+    and base vector of one (M, K) group, file after file, answered on
+    `basis`; queries, answers and rows are tuples, one entry per server,
+    and a row is its reply's `value`. A reply is a function of its query
     and the storage alone, so each distinct query (at most M^K of them) is
     answered once, on the first round that misses it in the memo. The memo
     also hands out the first tuple it saw for each query, so a fold that
     keeps queries holds references, not copies; it lives only as long as
-    this walk."""
+    this walk. The default builder skips `make_queries`' range check: the
+    walk enumerates only valid (theta, base)."""
     m, k = basis.m, basis.k
-    memo = {}  # query -> (the first tuple seen for it, its reply)
+    memo = {}  # query -> (the first tuple seen for it, its reply, the reply's value)
     lookup = memo.__getitem__
     for theta in range(1, k + 1):
         for base in enumerate_realizations(m, k):
             queries = query_fn(theta, base, m)
             try:
-                queries, answers = zip(*map(lookup, queries))
+                queries, answers, rows = zip(*map(lookup, queries))
             except KeyError:
                 for q in queries:
                     if q not in memo:
-                        memo[q] = q, answer(q, basis)
-                queries, answers = zip(*map(lookup, queries))
-            yield theta, base, queries, answers
+                        reply = answer(q, basis)
+                        memo[q] = q, reply, reply.value
+                queries, answers, rows = zip(*map(lookup, queries))
+            yield theta, base, queries, answers, rows
 
 
-def _walk(m: int, k: int, folds, query_fn=make_queries) -> list:
+def _walk(m: int, k: int, folds, query_fn=_queries) -> list:
     """Walk every round of one (M, K) group once, after checking the
-    walk's bill, and hand each (theta, base, queries, answers) to every
-    fold's `step`; return each fold's `finish()`."""
+    walk's bill, and return each fold's `finish()`. A fold may take each
+    round as it is made, in `step(theta, base, queries, answers, rows)`,
+    and each whole file when it ends, in `close(theta, queries, rows)`:
+    the M^K rounds' queries and rows, concatenated in round order. Only
+    the current file's lists are held."""
     _check_bill(m, k)
-    steps = [fold.step for fold in folds]
-    for round_ in _basis_rounds(_basis(m, k), query_fn):
-        for step in steps:
-            step(*round_)
+    steps = [fold.step for fold in folds if hasattr(fold, "step")]
+    closes = [fold.close for fold in folds if hasattr(fold, "close")]
+    rounds = _basis_rounds(_basis(m, k), query_fn)
+    for theta in range(1, k + 1):
+        sent, rows = [], []
+        for _, base, queries, answers, replied in islice(rounds, m**k):  # file theta's rounds
+            sent += queries
+            rows += replied
+            for step in steps:
+                step(theta, base, queries, answers, replied)
+        for close in closes:
+            close(theta, sent, rows)
     return [fold.finish() for fold in folds]
 
 
@@ -198,42 +221,30 @@ class _Privacy:
     """Per server position, the multiset of received queries over all M^K
     base vectors must be the same for every wanted file as for file 1.
     That one (M, K) round decides every server's whole view, in every
-    group and jointly over its groups (see the module docstring). Rounds
-    arrive file by file. `step` appends a round's M queries, the walk's
-    shared tuples, to the current file's list in one call; closing the
-    file counts each position's queries (every M-th entry) into a
-    `Counter`. Only file 1's views and the current file's queries are
+    group and jointly over its groups (see the module docstring). The fold
+    is per file: `close` gets the file's queries from the walk, the
+    walk's shared tuples round after round, and counts each position's
+    queries (every M-th entry) into a `Counter`. Only file 1's views are
     held."""
 
     def __init__(self, m: int):
         self.m = m
-        self.theta = 0
-        self.sent = []  # the current file's queries, round after round
         self.reference = []  # file 1's view per position
         self.mismatches = []  # (position, file) whose view differs from file 1's
 
-    def _close_file(self):
-        if not self.sent:
-            return
+    def close(self, theta, queries, rows):
         m, first = self.m, not self.reference
         # dict equality is exact here: a Counter built by counting holds no
         # zero count, and C-level dict.__eq__ skips Counter.__eq__'s
         # Python-level walk that treats missing keys as zero
         for pos in range(m):
-            view = Counter(islice(self.sent, pos, None, m))
+            view = Counter(islice(queries, pos, None, m))
             if first:
                 self.reference.append(view)
             elif not dict.__eq__(view, self.reference[pos]):
-                self.mismatches.append((pos, self.theta))
-
-    def step(self, theta, base, queries, answers):
-        if theta != self.theta:
-            self._close_file()
-            self.theta, self.sent = theta, []
-        self.sent += queries
+                self.mismatches.append((pos, theta))
 
     def finish(self) -> AuditCheck:
-        self._close_file()
         detail = "the server at position {} of every group can separate requests for file 1 and file {}"
         return AuditCheck(
             name="privacy",
@@ -245,7 +256,7 @@ class _Privacy:
         )
 
 
-def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=make_queries) -> AuditCheck:
+def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=_queries) -> AuditCheck:
     """The privacy fold (`_Privacy`) over one walk."""
     return _walk(layout.m, library.k_files, [_Privacy(layout.m)], query_fn)[0]
 
@@ -255,7 +266,8 @@ class _Correctness:
 
     `step` decodes every (theta, base) round once on the one-hot basis,
     where returning theta's basis packets proves that round exact for
-    every group and every library (see the module docstring). `finish`
+    every group and every library (see the module docstring); it calls
+    `decode` itself, which checks the round's range once. `finish`
     then checks the slicing with real bytes: the assembled retrieval of
     each file at base (0,)*K, with each of its group rounds decoded again
     after `tamper(group, server_pos, answer)`.
@@ -281,8 +293,15 @@ class _Correctness:
             violation = " (protocol violation)"
         self._fail(f"file {theta} mis-decoded at {where}base {base}{violation}")
 
-    def step(self, theta, base, queries, answers):
-        self._check(theta, base, answers, self.wants[theta - 1])
+    def step(self, theta, base, queries, answers, rows):
+        self.runs += 1
+        try:
+            if decode(theta, base, answers) == self.wants[theta - 1]:
+                return
+            violation = ""
+        except ProtocolViolation:
+            violation = " (protocol violation)"
+        self._fail(f"file {theta} mis-decoded at base {base}{violation}")
 
     def finish(self) -> AuditCheck:
         plan, layout, library = self.plan, self.layout, self.library
@@ -325,19 +344,16 @@ class _Rate:
     """The enumerated average download must equal the closed form
     L * (1 + 1/M + ... + 1/M^(K-1)) exactly, for every wanted file, with L
     the layout's file length. A group's download is its packet size times
-    one (M, K) round's non-silent answers (see the module docstring),
-    counted once per file on the one-hot basis."""
+    one (M, K) round's non-silent answers (see the module docstring).
+    The fold is per file: `close` counts the file's non-silent replies on
+    the one-hot basis from the walk's rows, where silence is None."""
 
     def __init__(self, layout: PacketLayout, k: int):
         self.layout, self.k = layout, k
         self.sent = Counter()
 
-    def step(self, theta, base, queries, answers):
-        sent = 0
-        for reply in answers:
-            if reply.value is not None:
-                sent += 1
-        self.sent[theta] += sent
+    def close(self, theta, queries, rows):
+        self.sent[theta] = len(rows) - rows.count(None)
 
     def finish(self) -> AuditCheck:
         layout, k = self.layout, self.k
@@ -410,7 +426,8 @@ class _Conditions:
     * the residual rows (all files except the wanted one and any one other
       file) are identical across all transmitted answers.
 
-    The rows are the answers' values, taken on the one-hot basis.
+    The rows are the answers' values on the one-hot basis, which the walk
+    reads once per distinct query.
 
     Only the statistic that decides each verdict is eliminated. Where
     residual identity holds for the unwanted file o, every kept row is
@@ -448,12 +465,12 @@ class _Conditions:
         self.violations += 1
         self.first = self.first or (kind, theta, base)
 
-    def step(self, theta, base, queries, answers):
+    def step(self, theta, base, queries, answers, replied):
         own = self.blocks[theta - 1]
         rows, wanted = [], []
         union, common = 0, -1  # the bits some row has, and the bits every row has
-        for reply in answers:
-            if (row := reply.value) is not None:
+        for row in replied:
+            if row is not None:
                 rows.append(row)
                 wanted.append(row & own)
                 union |= row
@@ -494,7 +511,7 @@ class _Conditions:
         )
 
 
-def conditions_audit(m: int, k: int, query_fn=make_queries) -> AuditCheck:
+def conditions_audit(m: int, k: int, query_fn=_queries) -> AuditCheck:
     """The conditions fold (`_Conditions`) over one walk."""
     return _walk(m, k, [_Conditions(m, k)], query_fn)[0]
 

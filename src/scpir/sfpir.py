@@ -45,9 +45,11 @@ class Answer:
     converts it once. Replies are equal when their value and size are, so
     `Answer(b)` equals the reply `answer` computes to the same bytes. An
     int value must fit in `size` bytes: a negative or wider one raises
-    ValueError here, so reading `payload` or decoding never overflows.
-    Slots keep each reply small: an audit walk's memo holds one per
-    distinct query.
+    ValueError here, so reading `payload` or decoding never overflows. A
+    payload's size is its byte count; a nonzero `size` that differs from it,
+    or a value that is neither None, an int nor bytes-like, raises
+    ValueError too. Slots keep each reply small: an audit walk's memo
+    holds one per distinct query.
     """
 
     value: int | None
@@ -57,13 +59,19 @@ class Answer:
         value = self.value
         if value is None:
             return
-        if not isinstance(value, int):
-            object.__setattr__(self, "size", len(value))
-            object.__setattr__(self, "value", int.from_bytes(value, "little"))
-        elif value < 0:
-            raise ValueError("answer value is negative")
-        elif value.bit_length() > 8 * self.size:
-            raise ValueError(f"answer value of {value.bit_length()} bits does not fit in {self.size} bytes")
+        if isinstance(value, int):
+            if value < 0:
+                raise ValueError("answer value is negative")
+            if value.bit_length() > 8 * self.size:
+                raise ValueError(f"answer value of {value.bit_length()} bits does not fit in {self.size} bytes")
+        elif isinstance(value, (bytes, bytearray, memoryview)):
+            payload = bytes(value)  # counts bytes, not items, for any buffer format
+            if self.size and self.size != len(payload):
+                raise ValueError(f"answer payload of {len(payload)} bytes given size {self.size}")
+            object.__setattr__(self, "size", len(payload))
+            object.__setattr__(self, "value", int.from_bytes(payload, "little"))
+        else:
+            raise ValueError(f"answer value must be None, an int or bytes-like, not {type(value).__name__}")
 
     @property
     def silent(self) -> bool:
@@ -115,8 +123,10 @@ class GroupStorage:
 
 
 def _check_round(theta: int, base: tuple[int, ...], m: int) -> None:
-    """Raise ValueError unless theta is a 1-based file index into base and
-    every base entry lies in 0..M-1."""
+    """Raise ValueError unless the group has M >= 2 servers, theta is a
+    1-based file index into base and every base entry lies in 0..M-1."""
+    if m < 2:
+        raise ValueError(f"need M >= 2, got M={m}")
     k = len(base)
     if not 1 <= theta <= k:
         raise ValueError(f"theta={theta} out of range 1..{k}")
@@ -128,9 +138,16 @@ def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, .
     """Queries for servers 0..M-1: the base vector with coordinate theta
     (1-based) shifted by the server index modulo M."""
     _check_round(theta, base, m)
-    vec, shift, queries = list(base), base[theta - 1], []
-    for server in range(m):  # one list, overwritten at the wanted coordinate
-        vec[theta - 1] = (shift + server) % m
+    return _queries(theta, base, m)
+
+
+def _queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """`make_queries` without the range check, for callers that enumerate
+    only valid rounds (the audit walk)."""
+    vec, wanted, queries = list(base), theta - 1, []
+    shift = base[wanted]
+    for shifted in range(shift, shift + m):  # one list, overwritten at the wanted coordinate
+        vec[wanted] = shifted % m
         queries.append(tuple(vec))
     return queries
 
@@ -141,13 +158,14 @@ def answer(query: tuple[int, ...], storage: GroupStorage) -> Answer:
     m = storage.m
     if query and (min(query) < 0 or max(query) >= m):  # empty: left to the K check
         raise ValueError(f"query {query} has entries outside 0..{m - 1}")
-    if len(query) != storage.k:
+    if len(query) != len(storage.values):
         raise ValueError(f"query length {len(query)} != K={storage.k}")
-    if all(q == m - 1 for q in query):
+    virtual = m - 1
+    if query.count(virtual) == len(query):
         return SILENT
     value = 0
     for row, q in zip(storage.values, query):
-        if q != m - 1:
+        if q != virtual:
             value ^= row[q]
     return Answer(value, storage.size)
 

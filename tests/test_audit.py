@@ -107,6 +107,46 @@ def test_audits_hold_on_random_layouts(instance):
     assert not conditions_audit(m, k, query_fn=queries_duplicate_shift).passed
 
 
+@st.composite
+def switched_arrays(draw):
+    """A built (N, M) array with N <= 9 (equal-size, greedy or, where its
+    family holds, improved) after random degree-keeping switches, and K <= 3
+    with M^K <= 200. A switch swaps server a of column c1 with server b of
+    column c2 when neither column already holds the other server, so every
+    column keeps M servers and every server its number of columns."""
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(2, n))
+    builds = [sda.build_greedy, sda.build_equal_size]
+    if sda.improved_family(n, m) is not None:
+        builds.append(sda.build_improved)
+    columns = [set(c) for c in draw(st.sampled_from(builds))(n, m).column_sets]
+    for _ in range(draw(st.integers(0, 8))):
+        c1, c2 = (draw(st.integers(0, len(columns) - 1)) for _ in range(2))
+        a = draw(st.sampled_from(sorted(columns[c1])))
+        b = draw(st.sampled_from(sorted(columns[c2])))
+        if a not in columns[c2] and b not in columns[c1]:
+            columns[c1] ^= {a, b}
+            columns[c2] ^= {a, b}
+    k = draw(st.integers(1, max(k for k in (1, 2, 3) if m**k <= 200)))
+    return n, m, tuple(tuple(sorted(c)) for c in columns), k
+
+
+@settings(max_examples=50, deadline=None)
+@given(switched_arrays())
+def test_any_sda_passes_the_protocol_audits(drawn):
+    # the paper's claim: any SDA gives a capacity-achieving scheme
+    n, m, columns, k = drawn
+    array = sda.StorageDesignArray(n, m, columns)
+    layout, plan, library = build_instance(n, m, k, build=lambda n, m: array)
+    checks = [
+        storage_audit(plan, layout),
+        privacy_audit(layout, library),
+        correctness_audit(plan, layout, library),
+        rate_audit(layout, library),
+    ]
+    assert [c.name for c in checks if not c.passed] == []
+
+
 def test_audits_hold_on_oracle_witnesses():
     """Every eta* witness with N <= 8 is planned at minimal length with
     exactly eta* groups, and the scheme it gives passes the audits."""
@@ -406,8 +446,39 @@ def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
 def test_walk_hands_out_one_tuple_per_distinct_query(query_fn):
     # folds that keep queries keep references to the walk's memo, not copies
     rounds = audit._basis_rounds(audit._basis(3, 3), query_fn)
-    seen = [q for _, _, queries, _ in rounds for q in queries]
+    seen = [q for _, _, queries, _, _ in rounds for q in queries]
     assert len({id(q) for q in seen}) == len(set(seen)) == 3**3
+
+
+@pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (4, 1)])
+def test_walk_hands_each_file_to_close_after_its_rounds(m, k):
+    # every round reaches `step` once, file by file; each file then reaches
+    # `close` once, with that file's queries and rows in round order
+    class Recorder:
+        def __init__(self):
+            self.rounds, self.closes = [], []
+
+        def step(self, theta, base, queries, answers, rows):
+            assert rows == tuple(a.value for a in answers)
+            self.rounds.append((theta, base, queries, rows))
+
+        def close(self, theta, queries, rows):
+            self.closes.append((theta, list(queries), list(rows), len(self.rounds)))
+
+        def finish(self):
+            return self
+
+    recorder = audit._walk(m, k, [Recorder()])[0]
+    assert [(theta, base) for theta, base, _, _ in recorder.rounds] == [
+        (theta, base) for theta in range(1, k + 1) for base in enumerate_realizations(m, k)
+    ]
+    assert [theta for theta, *_ in recorder.closes] == list(range(1, k + 1))
+    for theta, queries, rows, walked in recorder.closes:
+        assert walked == theta * m**k  # closed after its own M^K rounds
+        mine = recorder.rounds[walked - m**k : walked]
+        assert queries == [q for _, _, round_queries, _ in mine for q in round_queries]
+        assert rows == [r for *_, round_rows in mine for r in round_rows]
+        assert len(queries) == len(rows) == m * m**k
 
 
 def flip_first_answer(gi, pos, a):

@@ -3,6 +3,7 @@ the construction promises."""
 
 import random
 import re
+from array import array
 from fractions import Fraction
 from itertools import product
 
@@ -46,6 +47,11 @@ class TestMakeQueries:
             make_queries(3, (0, 0), 2)
         with pytest.raises(ValueError):
             make_queries(1, (0, 2), 2)
+
+    def test_refuses_a_single_server(self):
+        # the same rule, and the same message, as GroupStorage
+        with pytest.raises(ValueError, match="^need M >= 2, got M=1$"):
+            make_queries(1, (0,), 1)
 
 
 class TestAnswer:
@@ -118,6 +124,12 @@ class TestDecode:
         with pytest.raises(ProtocolViolation):
             decode(1, (0, 0), [Answer(b"\x33\x00"), Answer(b"\x22")])
 
+    @pytest.mark.parametrize("answers, m", [([Answer(1, 1)], 1), ([], 0)])
+    def test_refuses_fewer_than_two_answers(self, answers, m):
+        # the round's M is the number of answers; fewer than two is no group
+        with pytest.raises(ValueError, match=f"^need M >= 2, got M={m}$"):
+            decode(1, (0,), answers)
+
 
 class TestIntegerPackets:
     """Inside a round a packet is an int; widths come from the packet size,
@@ -176,6 +188,34 @@ class TestIntegerPackets:
     def test_answer_rejects_values_wider_than_size(self, value, size):
         bits = value.bit_length()
         with pytest.raises(ValueError, match=f"^answer value of {bits} bits does not fit in {size} bytes$"):
+            Answer(value, size)
+
+    @pytest.mark.parametrize(
+        "payload, size",
+        [(b"ab", 5), (b"ab", 1), (bytearray(b"abc"), 2), (memoryview(b"a"), 3), (b"", 1)],
+    )
+    def test_answer_rejects_payload_of_another_size(self, payload, size):
+        with pytest.raises(ValueError, match=f"^answer payload of {len(payload)} bytes given size {size}$"):
+            Answer(payload, size)
+
+    @pytest.mark.parametrize("payload", [b"ab", bytearray(b"ab"), memoryview(b"xab")[1:]])
+    def test_answer_payload_keeps_its_own_size(self, payload):
+        assert Answer(payload, 2) == Answer(payload) == Answer(int.from_bytes(b"ab", "little"), 2)
+
+    def test_answer_sizes_a_wide_buffer_in_bytes(self):
+        # a memoryview of 2-byte items: its len counts items, its size is bytes
+        view = memoryview(array("H", [0x1234]))
+        assert len(view) == 1
+        assert Answer(view) == Answer(view, 2) == Answer(0x1234, 2)
+        assert Answer(view).payload == bytes(view)
+        with pytest.raises(ValueError, match="^answer payload of 2 bytes given size 1$"):
+            Answer(view, 1)
+
+    @pytest.mark.parametrize("value", [1.5, "ab", [1], Fraction(1), (1,)])
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_answer_rejects_other_values(self, value, size):
+        kind = type(value).__name__
+        with pytest.raises(ValueError, match=f"^answer value must be None, an int or bytes-like, not {kind}$"):
             Answer(value, size)
 
 
