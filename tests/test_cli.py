@@ -270,6 +270,13 @@ class TestAnalyze:
             if f[5]:
                 assert int(f[9]) == int(f[5]) * (m - 1)
 
+    def test_table_is_pinned(self, capsys):
+        # every byte of the 7,140-row table, header included
+        code, stdout, _ = run(capsys, "analyze", "--n-max", "120")
+        assert code == 0
+        digest = "7a92b2f3cdd25d99f7a187858d70e189a97caf088dc88496f752198116e88927"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
     def test_counts_rows(self, capsys):
         code, stdout, _ = run(capsys, "analyze", "--n-max", "5")
         assert code == 0
