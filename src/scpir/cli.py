@@ -12,7 +12,6 @@ import random
 import sys
 from contextlib import nullcontext
 from functools import cache
-from math import gcd
 
 from . import sda
 from .audit import run_full_audit
@@ -93,20 +92,16 @@ def cmd_audit(args) -> int:
     return 0 if report.overall else 1
 
 
-def analysis_row(n: int, m: int) -> tuple[str, ...]:
-    """One comparison row's cells, in ANALYZE_HEADER order, from the closed
-    forms, building no array; the improved cells are empty when no d >= 2
-    gives N = d*M+1 or d*M-1, or when M < 3."""
-    eta_equal = sda.eta_equal(n, m)
-    eta_greedy = sda.eta_recursion(n, m)
-    family = sda.improved_family(n, m)
-    eta_improved, f_improved = ("", "") if family is None else (family[2], family[2] * (m - 1))
-    eta_lower = sda.eta_lower_bound(n, m)
-    return tuple(map(str, (
-        n, m, gcd(n, m), eta_equal, eta_greedy, eta_improved, eta_lower,
-        eta_equal * (m - 1), eta_greedy * (m - 1), f_improved, eta_lower * (m - 1),
-        sda.gap_bound(n, m),
-    )))
+def analysis_row(n: int, m: int) -> str:
+    """One comparison row as a CSV line without its newline, cells in
+    ANALYZE_HEADER order, from `sda.closed_forms`, building no array; the
+    improved cells are empty when no d >= 2 gives N = d*M+1 or d*M-1, or
+    when M < 3."""
+    g, equal, greedy, improved, lower, gap = sda.closed_forms(n, m)
+    f = m - 1  # each F is eta * (M - 1)
+    eta_improved, f_improved = ("", "") if improved is None else (improved, improved * f)
+    return (f"{n},{m},{g},{equal},{greedy},{eta_improved},{lower},"
+            f"{equal * f},{greedy * f},{f_improved},{lower * f},{gap}")
 
 
 def cmd_analyze(args) -> int:
@@ -115,8 +110,8 @@ def cmd_analyze(args) -> int:
     with _output(args.out) as fh:
         fh.write(ANALYZE_HEADER + "\n")
         for n in range(2, args.n_max + 1):
-            for m in range(2, n + 1):  # each row written as made: memory stays flat
-                fh.write(",".join(analysis_row(n, m)) + "\n")
+            # one write per N: memory holds one N's rows, O(n-max)
+            fh.write("".join([analysis_row(n, m) + "\n" for m in range(2, n + 1)]))
     return 0
 
 

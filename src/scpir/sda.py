@@ -18,6 +18,9 @@ Every sub-packetization closed form in (N, M) lives here alone:
 `eta_equal`, `eta_recursion` (greedy) and `improved_family` count each
 construction's distinct columns, `eta_lower_bound` is the floor for any
 array, and `gap_bound` is greedy's worst-case factor over that floor.
+`closed_forms` computes all but the improved family's from one
+validation and one gcd, and the four per-quantity functions read their
+entry of it.
 
 Everything is pure and exact; alpha values are `fractions.Fraction`.
 
@@ -197,8 +200,7 @@ def build_equal_size(n: int, m: int) -> StorageDesignArray:
 
 def eta_equal(n: int, m: int) -> int:
     """Distinct-column count of `build_equal_size`: N/gcd(N,M), as no window repeats."""
-    require_params(n, m)
-    return n // gcd(n, m)
+    return closed_forms(n, m)[1]
 
 
 def build_greedy(n: int, m: int) -> StorageDesignArray:
@@ -242,18 +244,7 @@ def eta_recursion(n: int, m: int) -> int:
     """Distinct-column count of the greedy construction, in closed recursive
     form: strip a repeated block, recurse on the remainder, count one per step.
     A run of strips is one division, so this takes O(log N) steps like Euclid."""
-    require_params(n, m)
-    g = gcd(n, m)
-    n, m = n // g, m // g
-    steps = 0
-    while n > 1:
-        if n >= 2 * m:
-            strips = n // m - 1  # each strip of m leaves n >= m
-            n, steps = n - strips * m, steps + strips
-        else:
-            n, m = m, 2 * m - n
-            steps += 1
-    return steps + 1
+    return closed_forms(n, m)[2]
 
 
 def build_q_array(m: int) -> StorageDesignArray:
@@ -331,16 +322,41 @@ def build_improved(n: int, m: int) -> StorageDesignArray:
 def eta_lower_bound(n: int, m: int) -> int:
     """Floor on the distinct-column count of any feasible group support:
     max(ceil(N/M), ceil(N/(N-M))), or 1 for full replication."""
-    require_params(n, m)
-    if m == n:
-        return 1
-    return max(-(-n // m), -(-n // (n - m)))
+    return closed_forms(n, m)[4]
 
 
 def gap_bound(n: int, m: int) -> int:
     """Greedy's worst-case factor over the floor: min(M, N-M)/gcd(N,M), or 1 if M = N."""
+    return closed_forms(n, m)[5]
+
+
+def closed_forms(n: int, m: int) -> tuple[int, int, int, int | None, int, int]:
+    """(gcd, eta_equal, eta_recursion, eta_improved, eta_lower_bound,
+    gap_bound) of (N, M) from one `require_params` and one gcd;
+    eta_improved is `improved_family`'s eta, or None outside the family.
+
+    The one place each of these forms is computed: the per-quantity
+    functions read their entry, and `analyze` reads all six per row.
+    """
     require_params(n, m)
-    return min(m, n - m) // gcd(n, m) if m < n else 1
+    g = gcd(n, m)
+    # greedy: strip a run of repeated b-blocks off the coprime (a, b)
+    # corner, or flip it to (b, 2b - a); one distinct column per step
+    a, b = n // g, m // g
+    steps = 1
+    while a > 1:
+        if a >= 2 * b:
+            strips = a // b - 1  # each strip of b leaves a >= b
+            a, steps = a - strips * b, steps + strips
+        else:
+            a, b = b, 2 * b - a
+            steps += 1
+    family = improved_family(n, m)
+    if m == n:
+        lower, gap = 1, 1
+    else:
+        lower, gap = max(-(-n // m), -(-n // (n - m))), min(m, n - m) // g
+    return g, n // g, steps, None if family is None else family[2], lower, gap
 
 
 # ---------------------------------------------------------------------------

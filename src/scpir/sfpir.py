@@ -48,7 +48,8 @@ class Answer:
     ValueError here, so reading `payload` or decoding never overflows. A
     payload's size is its byte count; a nonzero `size` that differs from it,
     or a value that is neither None, an int nor bytes-like, raises
-    ValueError too. Slots keep each reply small: an audit walk's memo
+    ValueError too, as does silence with a nonzero `size`, so `SILENT` is
+    the one silent reply. Slots keep each reply small: an audit walk's memo
     holds one per distinct query.
     """
 
@@ -58,6 +59,8 @@ class Answer:
     def __post_init__(self):
         value = self.value
         if value is None:
+            if self.size:
+                raise ValueError(f"a silent answer has size 0, not {self.size}")
             return
         if isinstance(value, int):
             if value < 0:

@@ -572,7 +572,7 @@ def test_closed_forms_match_built_arrays_to_300(params):
     n, m = params
     checks = subpacketization_audit(n, m)
     assert all(c.passed for c in checks), [c for c in checks if not c.passed]
-    row = dict(zip(ANALYZE_HEADER.split(","), analysis_row(n, m)))
+    row = dict(zip(ANALYZE_HEADER.split(","), analysis_row(n, m).split(",")))
     builders = {"eta_equal": sda.build_equal_size, "eta_greedy": sda.build_greedy}
     if sda.improved_family(n, m) is not None:
         builders["eta_improved"] = sda.build_improved

@@ -3,11 +3,14 @@
 import argparse
 import hashlib
 import json
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from scpir import cli, sda
-from scpir.cli import ANALYZE_HEADER, main
+from scpir.cli import ANALYZE_HEADER, analysis_row, main
 
 
 def run(capsys, *argv):
@@ -247,6 +250,19 @@ class TestAudit:
         assert "out of scope" in stderr
 
 
+@st.composite
+def analyze_params(draw):
+    """2 <= M <= N <= 10^6, half of them N = d*M +/- 1 with M >= 3, d >= 2,
+    so the improved cells are filled."""
+    if draw(st.booleans()):
+        m = draw(st.integers(3, 10**6 // 2))
+        n = draw(st.integers(2, 10**6 // m)) * m + draw(st.sampled_from((1, -1)))
+        assume(n <= 10**6)
+        return n, m
+    n = draw(st.integers(2, 10**6))
+    return n, draw(st.integers(2, n))
+
+
 class TestAnalyze:
     def test_table_rows_and_invariants(self, capsys, tmp_path):
         out = tmp_path / "table.csv"
@@ -276,6 +292,20 @@ class TestAnalyze:
         assert code == 0
         digest = "7a92b2f3cdd25d99f7a187858d70e189a97caf088dc88496f752198116e88927"
         assert hashlib.sha256(stdout.encode()).hexdigest() == digest
+
+    @settings(max_examples=100, deadline=None)
+    @given(analyze_params())
+    def test_row_cells_match_each_closed_form(self, params):
+        n, m = params
+        family = sda.improved_family(n, m)
+        improved = "" if family is None else str(family[2])
+        f_improved = "" if family is None else str(family[2] * (m - 1))
+        eta_equal, eta_greedy = sda.eta_equal(n, m), sda.eta_recursion(n, m)
+        eta_lower = sda.eta_lower_bound(n, m)
+        expected = [n, m, gcd(n, m), eta_equal, eta_greedy, improved, eta_lower,
+                    eta_equal * (m - 1), eta_greedy * (m - 1), f_improved,
+                    eta_lower * (m - 1), sda.gap_bound(n, m)]
+        assert analysis_row(n, m).split(",") == [str(cell) for cell in expected]
 
     def test_counts_rows(self, capsys):
         code, stdout, _ = run(capsys, "analyze", "--n-max", "5")

@@ -198,6 +198,14 @@ class TestIntegerPackets:
         with pytest.raises(ValueError, match=f"^answer payload of {len(payload)} bytes given size {size}$"):
             Answer(payload, size)
 
+    @pytest.mark.parametrize("size", [1, 5, -1])
+    def test_silent_answer_rejects_a_size(self, size):
+        with pytest.raises(ValueError, match=f"^a silent answer has size 0, not {size}$"):
+            Answer(None, size)
+
+    def test_silent_answer_is_the_one_silence(self):
+        assert Answer(None) == Answer(None, 0) == SILENT
+
     @pytest.mark.parametrize("payload", [b"ab", bytearray(b"ab"), memoryview(b"xab")[1:]])
     def test_answer_payload_keeps_its_own_size(self, payload):
         assert Answer(payload, 2) == Answer(payload) == Answer(int.from_bytes(b"ab", "little"), 2)
