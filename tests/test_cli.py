@@ -298,14 +298,15 @@ class TestAnalyze:
     def test_row_cells_match_each_closed_form(self, params):
         n, m = params
         family = sda.improved_family(n, m)
-        improved = "" if family is None else str(family[2])
-        f_improved = "" if family is None else str(family[2] * (m - 1))
+        eta_improved = None if family is None else family[2]
         eta_equal, eta_greedy = sda.eta_equal(n, m), sda.eta_recursion(n, m)
         eta_lower = sda.eta_lower_bound(n, m)
-        expected = [n, m, gcd(n, m), eta_equal, eta_greedy, improved, eta_lower,
-                    eta_equal * (m - 1), eta_greedy * (m - 1), f_improved,
+        expected = [n, m, gcd(n, m), eta_equal, eta_greedy, eta_improved, eta_lower,
+                    eta_equal * (m - 1), eta_greedy * (m - 1),
+                    None if family is None else eta_improved * (m - 1),
                     eta_lower * (m - 1), sda.gap_bound(n, m)]
-        assert analysis_row(n, m).split(",") == [str(cell) for cell in expected]
+        cells = ["" if cell is None else str(cell) for cell in expected]
+        assert analysis_row(n, m).split(",") == cells
 
     def test_counts_rows(self, capsys):
         code, stdout, _ = run(capsys, "analyze", "--n-max", "5")
