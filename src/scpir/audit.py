@@ -29,29 +29,29 @@ decodes the basis decodes every group of every library.
 The round-level audits (privacy, correctness, rate, conditions) are folds
 over one walk of the K*M^K (theta, base) rounds, refused up front when
 their K*M^(K+1) queries are over MAX_REALIZATIONS. Those rounds hold only
-M^K distinct queries, so the walk answers each once on the basis and
-replays the reply, with the first tuple it saw for that query and the
-reply's row (its `value`), from a memo that ends with the walk;
-`run_full_audit` hands every round to all four folds, so its whole run
-answers M^K queries. Each round is validated once, by `decode`: the walk
-enumerates only valid (theta, base), so its default query builder is
-`make_queries` without the range check.
+M^K distinct queries, so the walk answers each once on the basis, when a
+memo first misses it, and replays the reply, with the first tuple it saw
+for that query and the reply's row (its `value`), from that memo, which
+ends with the walk; `run_full_audit` hands every file to all four folds,
+so its whole run answers M^K queries. Each round is validated once, by
+`decode`: the walk enumerates only valid (theta, base), so its default
+query builder is `make_queries` without the range check.
 
-A fold is per round, per file, or both. Per-round folds stream: each
-round goes to their `step` as it is made. The walk itself keeps the
-current file's queries and rows, one entry per server per round, and
-hands them to every per-file fold's `close` when the file ends; it never
-holds more than one file. Each fold keeps only its sufficient statistic,
-with little Python work per round:
+The walk goes file by file. It maps the query builder over the file's
+base vectors, looks every query up in the memo, and splits the entries
+into three flat lists: the file's queries, answers and rows, one entry
+per server per round, in round order. Base vectors and the builder's
+tuples stream; only one file's lists are held. Each fold's `close` gets
+every file, and folds that check rounds regroup the lists M at a time
+against a fresh enumeration of the base vectors. Each fold keeps only
+its sufficient statistic, with little Python work per round:
 
-* privacy (per file) counts each server position's queries, the memo's
-  tuples;
-* correctness (per round) compares `decode`'s packet list with the basis
-  packets;
-* rate (per file) counts the file's non-silent rows;
-* conditions (per round) reads the round's rows and looks up its two
-  GF(2) verdicts by its wanted rows, so it eliminates only wanted rows it
-  has not met before in the walk.
+* privacy counts each server position's queries, the memo's tuples;
+* correctness compares `decode`'s packet list with the basis packets;
+* rate counts the file's non-silent rows;
+* conditions reads each round's rows and looks up its two GF(2)
+  verdicts by its wanted rows, so it eliminates only wanted rows it has
+  not met before in the walk.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -63,8 +63,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
-from operator import or_
+from itertools import chain
+from operator import itemgetter, or_
 
 from . import sda, sfpir
 from .scheme import (
@@ -144,13 +144,14 @@ MAX_REALIZATIONS = 10**6  # walked queries one round walk may count or check
 def _check_bill(m: int, k: int) -> None:
     """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
     MAX_REALIZATIONS. The one walk answers only its M^K distinct queries
-    and adds each round's M queries and rows to the current file's lists.
-    Each fold does a bounded amount of work per round: correctness
-    decodes the round once, which validates it, and conditions runs at
-    most two GF(2) eliminations of at most M rows, and none for wanted
-    rows it met before, besides a few mask tests. Privacy and rate work
-    once per file, counting the file's M*M^K queries or rows. M^64 alone
-    exceeds the budget for M >= 2, so the power stops there."""
+    and adds each round's M queries, answers and rows to the current
+    file's lists. Each fold does a bounded amount of work per round:
+    correctness decodes the round once, which validates it, and conditions
+    runs at most two GF(2) eliminations of at most M rows, and none for
+    wanted rows it met before, besides a few mask tests. Privacy and rate
+    count the file's M*M^K queries or rows. M^64 alone exceeds the budget
+    for M >= 2, so the power stops there. The check runs before the walk
+    builds any list."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -166,54 +167,49 @@ def _basis(m: int, k: int) -> sfpir.GroupStorage:
     return sfpir.GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
 
 
-def _basis_rounds(basis: sfpir.GroupStorage, query_fn=_queries):
-    """Yield (theta, base, queries, answers, rows) for every wanted file
-    and base vector of one (M, K) group, file after file, answered on
-    `basis`; queries, answers and rows are tuples, one entry per server,
-    and a row is its reply's `value`. A reply is a function of its query
-    and the storage alone, so each distinct query (at most M^K of them) is
-    answered once, on the first round that misses it in the memo. The memo
-    also hands out the first tuple it saw for each query, so a fold that
-    keeps queries holds references, not copies; it lives only as long as
-    this walk. The default builder skips `make_queries`' range check: the
-    walk enumerates only valid (theta, base)."""
-    m, k = basis.m, basis.k
-    memo = {}  # query -> (the first tuple seen for it, its reply, the reply's value)
-    lookup = memo.__getitem__
-    for theta in range(1, k + 1):
-        for base in enumerate_realizations(m, k):
-            queries = query_fn(theta, base, m)
-            try:
-                queries, answers, rows = zip(*map(lookup, queries))
-            except KeyError:
-                for q in queries:
-                    if q not in memo:
-                        reply = answer(q, basis)
-                        memo[q] = q, reply, reply.value
-                queries, answers, rows = zip(*map(lookup, queries))
-            yield theta, base, queries, answers, rows
+class _Replies(dict):
+    """The walk's memo: query -> (the first tuple seen for it, its reply on
+    `basis`, the reply's `value`). A reply is a function of its query and
+    the storage alone, so a query is answered once, through this module's
+    `answer`, on the lookup that first misses it. Folds that keep queries
+    hold the memo's tuples, not copies."""
+
+    def __init__(self, basis: sfpir.GroupStorage):
+        super().__init__()
+        self.basis = basis
+
+    def __missing__(self, query):
+        reply = answer(query, self.basis)
+        entry = self[query] = query, reply, reply.value
+        return entry
+
+
+def _round_queries(theta: int, m: int, k: int, query_fn):
+    """Each round's queries for file theta, base vector after base vector
+    in `enumerate_realizations` order. A builder that gives a round other
+    than M queries is refused with ValueError: the folds regroup the
+    file's lists M at a time."""
+    for base in enumerate_realizations(m, k):
+        queries = query_fn(theta, base, m)
+        if len(queries) != m:
+            raise ValueError(f"query builder gave {len(queries)} queries for file {theta} at base {base}, not M={m}")
+        yield queries
 
 
 def _walk(m: int, k: int, folds, query_fn=_queries) -> list:
     """Walk every round of one (M, K) group once, after checking the
-    walk's bill, and return each fold's `finish()`. A fold may take each
-    round as it is made, in `step(theta, base, queries, answers, rows)`,
-    and each whole file when it ends, in `close(theta, queries, rows)`:
-    the M^K rounds' queries and rows, concatenated in round order. Only
-    the current file's lists are held."""
+    walk's bill, and return each fold's `finish()`. Each file goes to every
+    fold's `close(theta, m, queries, answers, rows)` once, file after file:
+    the M^K rounds' queries (the memo's tuples), answers on the one-hot
+    basis and rows (the answers' values), each a flat list in round order,
+    M entries per round. Only the current file's lists are held."""
     _check_bill(m, k)
-    steps = [fold.step for fold in folds if hasattr(fold, "step")]
-    closes = [fold.close for fold in folds if hasattr(fold, "close")]
-    rounds = _basis_rounds(_basis(m, k), query_fn)
+    replies = _Replies(_basis(m, k))
     for theta in range(1, k + 1):
-        sent, rows = [], []
-        for _, base, queries, answers, replied in islice(rounds, m**k):  # file theta's rounds
-            sent += queries
-            rows += replied
-            for step in steps:
-                step(theta, base, queries, answers, replied)
-        for close in closes:
-            close(theta, sent, rows)
+        entries = list(map(replies.__getitem__, chain.from_iterable(_round_queries(theta, m, k, query_fn))))
+        queries, answers, rows = (list(map(itemgetter(i), entries)) for i in range(3))
+        for fold in folds:
+            fold.close(theta, m, queries, answers, rows)
     return [fold.finish() for fold in folds]
 
 
@@ -221,24 +217,23 @@ class _Privacy:
     """Per server position, the multiset of received queries over all M^K
     base vectors must be the same for every wanted file as for file 1.
     That one (M, K) round decides every server's whole view, in every
-    group and jointly over its groups (see the module docstring). The fold
-    is per file: `close` gets the file's queries from the walk, the
-    walk's shared tuples round after round, and counts each position's
-    queries (every M-th entry) into a `Counter`. Only file 1's views are
-    held."""
+    group and jointly over its groups (see the module docstring). `close`
+    gets each file's queries from the walk, the memo's shared tuples round
+    after round, and counts each position's queries (every M-th entry)
+    into a `Counter`. Only file 1's views are held."""
 
     def __init__(self, m: int):
         self.m = m
         self.reference = []  # file 1's view per position
         self.mismatches = []  # (position, file) whose view differs from file 1's
 
-    def close(self, theta, queries, rows):
-        m, first = self.m, not self.reference
+    def close(self, theta, m, queries, answers, rows):
+        first = not self.reference
         # dict equality is exact here: a Counter built by counting holds no
         # zero count, and C-level dict.__eq__ skips Counter.__eq__'s
         # Python-level walk that treats missing keys as zero
         for pos in range(m):
-            view = Counter(islice(queries, pos, None, m))
+            view = Counter(queries[pos::m])
             if first:
                 self.reference.append(view)
             elif not dict.__eq__(view, self.reference[pos]):
@@ -264,13 +259,13 @@ def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=_queries)
 class _Correctness:
     """Every wanted file decodes exactly, for every realization.
 
-    `step` decodes every (theta, base) round once on the one-hot basis,
-    where returning theta's basis packets proves that round exact for
-    every group and every library (see the module docstring); it calls
-    `decode` itself, which checks the round's range once. `finish`
+    `close` decodes each of the file's (theta, base) rounds once on the
+    one-hot basis, where returning theta's basis packets proves that round
+    exact for every group and every library (see the module docstring);
+    it calls `decode` itself, which checks the round's range once. `finish`
     then checks the slicing with real bytes: the assembled retrieval of
     each file at base (0,)*K, with each of its group rounds decoded again
-    after `tamper(group, server_pos, answer)`.
+    after `tamper(group, server_pos, answer)`. Both go through `_decode`.
     """
 
     def __init__(self, plan: StoragePlan, layout: PacketLayout, library: FileLibrary, tamper):
@@ -283,38 +278,36 @@ class _Correctness:
         self.failures += 1
         self.first = self.first or detail
 
-    def _check(self, theta, base, answers, want, where=""):
-        self.runs += 1
-        try:
-            if decode(theta, base, answers) == want:
-                return
-            violation = ""
-        except ProtocolViolation:
-            violation = " (protocol violation)"
-        self._fail(f"file {theta} mis-decoded at {where}base {base}{violation}")
+    def _decode(self, theta, rounds, want, where=""):
+        """Decode each (base, answers) round of file theta through this
+        module's `decode`, and record each one that does not return `want`
+        or breaks the protocol."""
+        for base, answers in rounds:
+            try:
+                if decode(theta, base, answers) == want:
+                    continue
+                violation = ""
+            except ProtocolViolation:
+                violation = " (protocol violation)"
+            self._fail(f"file {theta} mis-decoded at {where}base {base}{violation}")
 
-    def step(self, theta, base, queries, answers, rows):
-        self.runs += 1
-        try:
-            if decode(theta, base, answers) == self.wants[theta - 1]:
-                return
-            violation = ""
-        except ProtocolViolation:
-            violation = " (protocol violation)"
-        self._fail(f"file {theta} mis-decoded at base {base}{violation}")
+    def close(self, theta, m, queries, answers, rows):
+        self.runs += len(answers) // m
+        rounds = zip(enumerate_realizations(m, self.plan.k), zip(*[iter(answers)] * m))
+        self._decode(theta, rounds, self.wants[theta - 1])
 
     def finish(self) -> AuditCheck:
         plan, layout, library = self.plan, self.layout, self.library
         zero = (0,) * plan.k
         for theta in range(1, plan.k + 1):
             t = retrieve(theta, plan, layout, library, [zero] * len(layout.groups))
-            self.runs += len(t.groups)  # retrieve decodes each group round once
+            self.runs += 2 * len(t.groups)  # each group round is decoded by retrieve, then by _decode
             file = library.file(theta)
             for g, region in zip(t.groups, layout.groups):
                 answers = [self.tamper(g.group, pos, a) for pos, a in enumerate(g.answers)]
                 start, size = region.file_offset, region.packet_bytes
                 want = [file[start + i * size : start + (i + 1) * size] for i in range(layout.m - 1)]
-                self._check(theta, zero, answers, want, f"group {g.group} ")
+                self._decode(theta, [(zero, answers)], want, f"group {g.group} ")
             if t.decoded_file != file:
                 self._fail(f"file {theta} mis-decoded at assembled retrieval")
         return AuditCheck(
@@ -345,14 +338,14 @@ class _Rate:
     L * (1 + 1/M + ... + 1/M^(K-1)) exactly, for every wanted file, with L
     the layout's file length. A group's download is its packet size times
     one (M, K) round's non-silent answers (see the module docstring).
-    The fold is per file: `close` counts the file's non-silent replies on
-    the one-hot basis from the walk's rows, where silence is None."""
+    `close` counts each file's non-silent replies on the one-hot basis
+    from the walk's rows, where silence is None."""
 
     def __init__(self, layout: PacketLayout, k: int):
         self.layout, self.k = layout, k
         self.sent = Counter()
 
-    def close(self, theta, queries, rows):
+    def close(self, theta, m, queries, answers, rows):
         self.sent[theta] = len(rows) - rows.count(None)
 
     def finish(self) -> AuditCheck:
@@ -427,7 +420,8 @@ class _Conditions:
       file) are identical across all transmitted answers.
 
     The rows are the answers' values on the one-hot basis, which the walk
-    reads once per distinct query.
+    reads once per distinct query; `close` regroups each file's rows into
+    rounds.
 
     Only the statistic that decides each verdict is eliminated. Where
     residual identity holds for the unwanted file o, every kept row is
@@ -465,40 +459,42 @@ class _Conditions:
         self.violations += 1
         self.first = self.first or (kind, theta, base)
 
-    def step(self, theta, base, queries, answers, replied):
-        own = self.blocks[theta - 1]
-        rows, wanted = [], []
-        union, common = 0, -1  # the bits some row has, and the bits every row has
-        for row in replied:
-            if row is not None:
-                rows.append(row)
-                wanted.append(row & own)
-                union |= row
-                common &= row
-        wanted = tuple(wanted)
-        verdicts = self.verdicts.get(wanted)
-        if verdicts is None:
-            verdicts = self.verdicts[wanted] = (
-                _gf2_independent([w for w in wanted if w]),
-                _gf2_independent([w | self.fresh for w in wanted]),
-            )
-        retrieved, tagged = verdicts
-        # the bits on which some row differs from the others; duplicate shifts
-        # at M = 2 can silence every server, and then nothing differs
-        spread = union & ~common
-        if retrieved and tagged and not spread & self.loose[theta - 1]:
-            return  # residual identity holds for every unwanted file, and so does independence
-        if not retrieved:
-            self._note("retrieved-independence", theta, base)
-        head = rows[0] if rows else 0
-        for drop, outside in self.others[theta - 1]:
-            if spread & outside:
-                if not _gf2_independent([kept for r in rows if (kept := r & drop)]):
+    def close(self, theta, m, queries, answers, rows):
+        own, loose, others = self.blocks[theta - 1], self.loose[theta - 1], self.others[theta - 1]
+        known, fresh = self.verdicts, self.fresh
+        for base, replied in zip(enumerate_realizations(m, len(self.blocks)), zip(*[iter(rows)] * m)):
+            sent, wanted = [], []
+            union, common = 0, -1  # the bits some row has, and the bits every row has
+            for row in replied:
+                if row is not None:
+                    sent.append(row)
+                    wanted.append(row & own)
+                    union |= row
+                    common &= row
+            wanted = tuple(wanted)
+            verdicts = known.get(wanted)
+            if verdicts is None:
+                verdicts = known[wanted] = (
+                    _gf2_independent([w for w in wanted if w]),
+                    _gf2_independent([w | fresh for w in wanted]),
+                )
+            retrieved, tagged = verdicts
+            # the bits on which some row differs from the others; duplicate
+            # shifts at M = 2 can silence every server, and then nothing differs
+            spread = union & ~common
+            if retrieved and tagged and not spread & loose:
+                continue  # residual identity holds for every unwanted file, and so does independence
+            if not retrieved:
+                self._note("retrieved-independence", theta, base)
+            head = sent[0] if sent else 0
+            for drop, outside in others:
+                if spread & outside:
+                    if not _gf2_independent([kept for r in sent if (kept := r & drop)]):
+                        self._note("requested-independence", theta, base)
+                    self._note("residual-identity", theta, base)
+                    continue
+                if not (tagged if head & outside else retrieved):
                     self._note("requested-independence", theta, base)
-                self._note("residual-identity", theta, base)
-                continue
-            if not (tagged if head & outside else retrieved):
-                self._note("requested-independence", theta, base)
 
     def finish(self) -> AuditCheck:
         return AuditCheck(

@@ -125,6 +125,16 @@ class GroupStorage:
         return len(self.packets)
 
 
+_SERVER_SETS = tuple(frozenset(range(m)) for m in range(33))  # built once, for M <= 32
+
+
+def _in_range(entries, m: int) -> bool:
+    """Whether every entry is a server index 0..M-1: a subset test, so a
+    non-integer entry such as 1.5 is outside too."""
+    servers = _SERVER_SETS[m] if m < len(_SERVER_SETS) else frozenset(range(m))
+    return servers.issuperset(entries)
+
+
 def _check_round(theta: int, base: tuple[int, ...], m: int) -> None:
     """Raise ValueError unless the group has M >= 2 servers, theta is a
     1-based file index into base and every base entry lies in 0..M-1."""
@@ -133,7 +143,7 @@ def _check_round(theta: int, base: tuple[int, ...], m: int) -> None:
     k = len(base)
     if not 1 <= theta <= k:
         raise ValueError(f"theta={theta} out of range 1..{k}")
-    if min(base) < 0 or max(base) >= m:  # base is not empty: theta indexes it
+    if not _in_range(base, m):
         raise ValueError(f"base vector {base} has entries outside 0..{m - 1}")
 
 
@@ -159,7 +169,7 @@ def answer(query: tuple[int, ...], storage: GroupStorage) -> Answer:
     """A server's reply to one query; independent of which file is wanted.
     It XORs the stored ints its query points at."""
     m = storage.m
-    if query and (min(query) < 0 or max(query) >= m):  # empty: left to the K check
+    if not _in_range(query, m):  # an empty query passes, and is left to the K check
         raise ValueError(f"query {query} has entries outside 0..{m - 1}")
     if len(query) != len(storage.values):
         raise ValueError(f"query length {len(query)} != K={storage.k}")

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -359,6 +360,22 @@ def shifted_unwanted(theta, base, m):
     return [queries[0], moved] + queries[2:]
 
 
+@functools.cache
+def full_rank(rows, bits):
+    """Whether the nonzero rows have full rank, eliminating the lowest of
+    `bits` bits first. Row sets repeat across rounds, builders and shapes,
+    so the one cache ranks each distinct (rows, bits) once per session."""
+    left = [r for r in rows if r]
+    rank, size = 0, len(left)
+    for bit in range(bits):
+        pivot = next((r for r in left if r >> bit & 1), None)
+        if pivot is not None:
+            left.remove(pivot)
+            left = [r ^ pivot if r >> bit & 1 else r for r in left]
+            rank += 1
+    return rank == size
+
+
 def per_file_violations(m, k, query_fn):
     """The conditions count built the long way, sharing nothing with the
     audit but `answer`: its own one-hot basis and walk, every round
@@ -369,22 +386,9 @@ def per_file_violations(m, k, query_fn):
     basis = GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
     blocks = [((1 << width) - 1) << (f * width) for f in range(k)]
 
-    @functools.cache
-    def full_rank(rows):
-        """Whether the rows have full rank, eliminating the lowest bit first."""
-        rank, left = 0, list(rows)
-        for bit in range(k * width):
-            pivot = next((r for r in left if r >> bit & 1), None)
-            if pivot is not None:
-                left.remove(pivot)
-                left = [r ^ pivot if r >> bit & 1 else r for r in left]
-                rank += 1
-        return rank == len(rows)
-
     def independent(rows):
-        """Whether the nonzero rows have full rank; row sets repeat across
-        rounds, so each distinct one is ranked once."""
-        return full_rank(tuple(r for r in rows if r))
+        """Whether the nonzero rows have full rank."""
+        return full_rank(tuple(rows), k * width)
 
     violations = 0
     for theta in range(1, k + 1):
@@ -442,43 +446,81 @@ def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
     assert calls == m**k
 
 
+class Recorder:
+    """A fold that keeps every `close` call, copying the walk's lists."""
+
+    def __init__(self):
+        self.closes = []
+
+    def close(self, theta, m, queries, answers, rows):
+        self.closes.append((theta, m, list(queries), list(answers), list(rows)))
+
+    def finish(self):
+        return self
+
+
 @pytest.mark.parametrize("query_fn", [make_queries, queries_duplicate_shift])
 def test_walk_hands_out_one_tuple_per_distinct_query(query_fn):
     # folds that keep queries keep references to the walk's memo, not copies
-    rounds = audit._basis_rounds(audit._basis(3, 3), query_fn)
-    seen = [q for _, _, queries, _, _ in rounds for q in queries]
+    recorder = audit._walk(3, 3, [Recorder()], query_fn)[0]
+    seen = [q for _, _, queries, _, _ in recorder.closes for q in queries]
+    assert len(seen) == 3 * 3 * 3**3
     assert len({id(q) for q in seen}) == len(set(seen)) == 3**3
 
 
 @pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (4, 1)])
 def test_walk_hands_each_file_to_close_after_its_rounds(m, k):
-    # every round reaches `step` once, file by file; each file then reaches
-    # `close` once, with that file's queries and rows in round order
-    class Recorder:
-        def __init__(self):
-            self.rounds, self.closes = [], []
-
-        def step(self, theta, base, queries, answers, rows):
-            assert rows == tuple(a.value for a in answers)
-            self.rounds.append((theta, base, queries, rows))
-
-        def close(self, theta, queries, rows):
-            self.closes.append((theta, list(queries), list(rows), len(self.rounds)))
-
-        def finish(self):
-            return self
-
+    # each file reaches `close` once, file after file, with that file's
+    # queries, answers and rows in `enumerate_realizations` order, M
+    # entries per round
     recorder = audit._walk(m, k, [Recorder()])[0]
-    assert [(theta, base) for theta, base, _, _ in recorder.rounds] == [
-        (theta, base) for theta in range(1, k + 1) for base in enumerate_realizations(m, k)
-    ]
     assert [theta for theta, *_ in recorder.closes] == list(range(1, k + 1))
-    for theta, queries, rows, walked in recorder.closes:
-        assert walked == theta * m**k  # closed after its own M^K rounds
-        mine = recorder.rounds[walked - m**k : walked]
-        assert queries == [q for _, _, round_queries, _ in mine for q in round_queries]
-        assert rows == [r for *_, round_rows in mine for r in round_rows]
-        assert len(queries) == len(rows) == m * m**k
+    basis = audit._basis(m, k)
+    for theta, got_m, queries, answers, rows in recorder.closes:
+        assert got_m == m
+        assert queries == [q for base in enumerate_realizations(m, k) for q in make_queries(theta, base, m)]
+        assert answers == [answer(q, basis) for q in queries]
+        assert rows == [a.value for a in answers]
+
+
+def queries_one_short(theta, base, m):
+    """Faulty builder: the last server gets no query."""
+    return make_queries(theta, base, m)[:-1]
+
+
+def queries_one_extra(theta, base, m):
+    """Faulty builder: server 0's query is sent twice."""
+    queries = make_queries(theta, base, m)
+    return queries + queries[:1]
+
+
+def queries_off_by_one_twice(theta, base, m):
+    """Faulty builder: file 2 gets one query short at base (1, 0) and one
+    extra at (1, 2), so the file's total is still M per round."""
+    queries = make_queries(theta, base, m)
+    if theta == 2 and base == (1, 0):
+        return queries[:-1]
+    if theta == 2 and base == (1, 2):
+        return queries + queries[:1]
+    return queries
+
+
+@pytest.mark.parametrize(
+    "query_fn, refused",
+    [
+        (queries_one_short, "gave 2 queries for file 1 at base (0, 0), not M=3"),
+        (queries_one_extra, "gave 4 queries for file 1 at base (0, 0), not M=3"),
+        (queries_off_by_one_twice, "gave 2 queries for file 2 at base (1, 0), not M=3"),
+    ],
+)
+def test_walk_refuses_a_round_of_other_than_m_queries(query_fn, refused):
+    # the folds regroup each file's lists M at a time, so a round of M - 1
+    # or M + 1 queries must stop the walk, naming the file and the base
+    layout, _, library = build_instance(4, 3, 2)
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        privacy_audit(layout, library, query_fn=query_fn)
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        conditions_audit(3, 2, query_fn=query_fn)
 
 
 def flip_first_answer(gi, pos, a):

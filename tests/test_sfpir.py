@@ -341,7 +341,7 @@ def test_every_round_decodes_zero_tailed_packets(storage):
 
 
 def out_of_range_reference(vec, m):
-    """The per-entry range test: the reference for the min/max form in
+    """The per-entry range test: the reference for the subset test in
     `make_queries`, `decode` and `answer`."""
     return any(not 0 <= q < m for q in vec)
 
@@ -433,3 +433,18 @@ def test_random_base_vector_in_range_and_seeded():
     assert all(len(v) == 3 and all(0 <= x < 4 for x in v) for v in vecs)
     rng2 = random.Random(123)
     assert vecs == [random_base_vector(rng2, 4, 3) for _ in range(50)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 40])  # 40 is past the prebuilt index sets
+def test_non_integer_entries_are_outside_the_range(m):
+    # a fractional entry lies between two server indices, so it is refused
+    # as out of range, not left to fail later at an index
+    storage = random_storage(random.Random(m), m, 2)
+    vec = (0, 1.5)
+    outside = f"has entries outside 0..{m - 1}"
+    with pytest.raises(ValueError, match=re.escape(f"base vector {vec} {outside}")):
+        make_queries(1, vec, m)
+    with pytest.raises(ValueError, match=re.escape(f"base vector {vec} {outside}")):
+        decode(1, vec, [SILENT] * m)
+    with pytest.raises(ValueError, match=re.escape(f"query {vec} {outside}")):
+        answer(vec, storage)
