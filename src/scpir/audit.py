@@ -28,25 +28,25 @@ decodes the basis decodes every group of every library.
 
 The round-level audits (privacy, correctness, rate, conditions) are folds
 over one walk of the K*M^K (theta, base) rounds, refused up front when
-their K*M^(K+1) queries are over MAX_REALIZATIONS. Those rounds hold only
-M^K distinct queries, so the walk answers each once on the basis, when a
-memo first misses it, and replays the reply, with the first tuple it saw
-for that query and the reply's row (its `value`), from that memo, which
-ends with the walk; `run_full_audit` hands every file to all four folds,
-so its whole run answers M^K queries. Each round is validated once, by
-`decode`: the walk enumerates only valid (theta, base), so its default
-query builder is `make_queries` without the range check.
+their K*M^(K+1) queries are over MAX_REALIZATIONS. Each round is validated
+once, by `decode`, so the walk's default query builder is `make_queries`
+without the range check.
 
-The walk goes file by file. It maps the query builder over the file's
-base vectors, looks every query up in the memo, and splits the entries
-into three flat lists: the file's queries, answers and rows, one entry
-per server per round, in round order. Base vectors and the builder's
-tuples stream; only one file's lists are held. Each fold's `close` gets
-every file, and folds that check rounds regroup the lists M at a time
+The walk goes file by file and hands each fold's `close` the file's
+queries, answers and rows (the answers' `value`s) as three flat lists, one
+entry per server per round, in round order. The rounds hold only M^K
+distinct queries, each answered once per walk (and per `run_full_audit`,
+whose four folds share one walk). With the default builder the walk
+answers them in `enumerate_realizations` order into three tables; a query
+of file theta differs from its base only at theta, so each file's lists
+are the tables cut by rotated list slices, and no query is built or
+hashed. Any other builder's queries go through a memo that answers each on
+first sight and keeps the first tuple seen. Only the tables and one file's
+lists are held. Folds that check rounds regroup the lists M at a time
 against a fresh enumeration of the base vectors. Each fold keeps only
 its sufficient statistic, with little Python work per round:
 
-* privacy counts each server position's queries, the memo's tuples;
+* privacy counts each server position's queries, the walk's tuples;
 * correctness compares `decode`'s packet list with the basis packets;
 * rate counts the file's non-silent rows;
 * conditions reads each round's rows and looks up its two GF(2)
@@ -63,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import repeat
 from operator import itemgetter, or_
 
 from . import sda, sfpir
@@ -143,15 +143,13 @@ MAX_REALIZATIONS = 10**6  # walked queries one round walk may count or check
 
 def _check_bill(m: int, k: int) -> None:
     """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
-    MAX_REALIZATIONS. The one walk answers only its M^K distinct queries
-    and adds each round's M queries, answers and rows to the current
-    file's lists. Each fold does a bounded amount of work per round:
-    correctness decodes the round once, which validates it, and conditions
-    runs at most two GF(2) eliminations of at most M rows, and none for
-    wanted rows it met before, besides a few mask tests. Privacy and rate
-    count the file's M*M^K queries or rows. M^64 alone exceeds the budget
-    for M >= 2, so the power stops there. The check runs before the walk
-    builds any list."""
+    MAX_REALIZATIONS, before the walk builds any list. The walk answers
+    only its M^K distinct queries and puts each round's M queries, answers
+    and rows in its file's lists. Per round, correctness decodes once, which
+    validates the round, and conditions runs at most two GF(2) eliminations
+    of at most M rows, none for wanted rows it met before, besides a few
+    mask tests; privacy and rate count the file's M*M^K queries or rows.
+    M^64 alone exceeds the budget for M >= 2, so the power stops there."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -168,11 +166,10 @@ def _basis(m: int, k: int) -> sfpir.GroupStorage:
 
 
 class _Replies(dict):
-    """The walk's memo: query -> (the first tuple seen for it, its reply on
-    `basis`, the reply's `value`). A reply is a function of its query and
-    the storage alone, so a query is answered once, through this module's
-    `answer`, on the lookup that first misses it. Folds that keep queries
-    hold the memo's tuples, not copies."""
+    """A non-default builder's memo: query -> (the first tuple seen, its
+    reply on `basis`, its `value`). Each query is answered once, through
+    this module's `answer`, on its first lookup, where an out-of-range
+    query raises; folds hold the builder's first tuples, not copies."""
 
     def __init__(self, basis: sfpir.GroupStorage):
         super().__init__()
@@ -183,33 +180,64 @@ class _Replies(dict):
         entry = self[query] = query, reply, reply.value
         return entry
 
+    def lists(self, theta: int, m: int, k: int, query_fn) -> list:
+        """File theta's queries, answers and rows in round order, from the
+        builder's rounds. A round other than M queries, or a query other
+        than a tuple, is refused with ValueError: the folds regroup the
+        lists M at a time, and the memo hashes every query."""
+        entries = []
+        for base in enumerate_realizations(m, k):
+            queries = query_fn(theta, base, m)
+            if len(queries) != m:
+                raise ValueError(f"query builder gave {len(queries)} queries for file {theta} at base {base}, "
+                                 f"not M={m}")
+            if not all(isinstance(q, tuple) for q in queries):
+                raise ValueError(f"query builder gave a query other than a tuple for file {theta} at base {base}")
+            entries += map(self.__getitem__, queries)
+        return [list(map(itemgetter(i), entries)) for i in range(3)]
 
-def _round_queries(theta: int, m: int, k: int, query_fn):
-    """Each round's queries for file theta, base vector after base vector
-    in `enumerate_realizations` order. A builder that gives a round other
-    than M queries is refused with ValueError: the folds regroup the
-    file's lists M at a time."""
-    for base in enumerate_realizations(m, k):
-        queries = query_fn(theta, base, m)
-        if len(queries) != m:
-            raise ValueError(f"query builder gave {len(queries)} queries for file {theta} at base {base}, not M={m}")
-        yield queries
+
+def _file_order(table: list, theta: int, m: int) -> list:
+    """File theta's flat list cut from `table`, which has one entry per query
+    in `enumerate_realizations` order. With stride = M^(K-theta), server s's
+    queries in base order are each block of M*stride entries rotated left
+    by s*stride; each block, or each column where blocks outnumber columns,
+    is one slice into every M-th entry from s."""
+    n = len(table)
+    width = n // m ** (theta - 1)  # M * stride
+    flat = [None] * (m * n)
+    for s in range(m):
+        shift = s * width // m
+        if n <= width * width:
+            for lo in range(0, n, width):
+                flat[lo * m + s : (lo + width) * m : m] = table[lo + shift : lo + width] + table[lo : lo + shift]
+        else:
+            for column in range(width):
+                flat[column * m + s :: width * m] = table[(column + shift) % width :: width]
+    return flat
 
 
 def _walk(m: int, k: int, folds, query_fn=_queries) -> list:
-    """Walk every round of one (M, K) group once, after checking the
-    walk's bill, and return each fold's `finish()`. Each file goes to every
-    fold's `close(theta, m, queries, answers, rows)` once, file after file:
-    the M^K rounds' queries (the memo's tuples), answers on the one-hot
-    basis and rows (the answers' values), each a flat list in round order,
-    M entries per round. Only the current file's lists are held."""
+    """Walk every round of one (M, K) group once, after checking its bill,
+    and return each fold's `finish()`. Each file goes to every fold's
+    `close(theta, m, queries, answers, rows)` once, file after file, as flat
+    lists in round order: cut from the answered tables of the M^K queries
+    (`_file_order`) for the default builder, from `_Replies` for any other."""
     _check_bill(m, k)
-    replies = _Replies(_basis(m, k))
+    basis = _basis(m, k)
+    if query_fn is _queries:
+        table = list(enumerate_realizations(m, k))
+        replies = list(map(answer, table, repeat(basis)))
+        tables = table, replies, [reply.value for reply in replies]
+        files = ([_file_order(t, theta, m) for t in tables] for theta in range(1, k + 1))
+    else:
+        memo = _Replies(basis)
+        files = (memo.lists(theta, m, k, query_fn) for theta in range(1, k + 1))
     for theta in range(1, k + 1):
-        entries = list(map(replies.__getitem__, chain.from_iterable(_round_queries(theta, m, k, query_fn))))
-        queries, answers, rows = (list(map(itemgetter(i), entries)) for i in range(3))
+        lists = next(files)
         for fold in folds:
-            fold.close(theta, m, queries, answers, rows)
+            fold.close(theta, m, *lists)
+        del lists  # hold one file's lists, not two while the next file's are cut
     return [fold.finish() for fold in folds]
 
 
@@ -218,8 +246,7 @@ class _Privacy:
     base vectors must be the same for every wanted file as for file 1.
     That one (M, K) round decides every server's whole view, in every
     group and jointly over its groups (see the module docstring). `close`
-    gets each file's queries from the walk, the memo's shared tuples round
-    after round, and counts each position's queries (every M-th entry)
+    counts each position's queries, every M-th of the walk's shared tuples,
     into a `Counter`. Only file 1's views are held."""
 
     def __init__(self, m: int):

@@ -155,8 +155,9 @@ def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, .
 
 
 def _queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
-    """`make_queries` without the range check, for callers that enumerate
-    only valid rounds (the audit walk)."""
+    """`make_queries` without the range check: the audit walk's default
+    builder, whose queries the walk cuts from one table of the M^K
+    queries instead of calling it."""
     vec, wanted, queries = list(base), theta - 1, []
     shift = base[wanted]
     for shifted in range(shift, shift + m):  # one list, overwritten at the wanted coordinate

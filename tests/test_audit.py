@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from scpir import audit, sda
+from scpir import audit, sda, sfpir
 from scpir.audit import (
     conditions_audit,
     correctness_audit,
@@ -407,8 +407,10 @@ def per_file_violations(m, k, query_fn):
 
 @pytest.mark.parametrize("m, k", [(3, 3), (5, 2)])
 def test_round_audits_answer_each_distinct_query_once(monkeypatch, m, k):
-    layout, _, library = build_instance(m + 1, m, k)
+    layout, plan, library = build_instance(m + 1, m, k)
     runs = {
+        "privacy": lambda: privacy_audit(layout, library),
+        "correctness": lambda: correctness_audit(plan, layout, library),
         "rate": lambda: rate_audit(layout, library),
         "conditions": lambda: conditions_audit(m, k),
     }
@@ -459,20 +461,22 @@ class Recorder:
         return self
 
 
-@pytest.mark.parametrize("query_fn", [make_queries, queries_duplicate_shift])
+@pytest.mark.parametrize("query_fn", [sfpir._queries, make_queries, queries_duplicate_shift])
 def test_walk_hands_out_one_tuple_per_distinct_query(query_fn):
-    # folds that keep queries keep references to the walk's memo, not copies
+    # folds that keep queries keep references to the walk's tables or memo,
+    # not copies; sfpir._queries is the default builder, the table route
     recorder = audit._walk(3, 3, [Recorder()], query_fn)[0]
     seen = [q for _, _, queries, _, _ in recorder.closes for q in queries]
     assert len(seen) == 3 * 3 * 3**3
     assert len({id(q) for q in seen}) == len(set(seen)) == 3**3
 
 
-@pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (4, 1), (3, 3), (2, 5), (4, 3)])
 def test_walk_hands_each_file_to_close_after_its_rounds(m, k):
     # each file reaches `close` once, file after file, with that file's
     # queries, answers and rows in `enumerate_realizations` order, M
-    # entries per round
+    # entries per round; theta runs from one block (theta = 1) to stride 1
+    # (theta = K) of the default builder's table
     recorder = audit._walk(m, k, [Recorder()])[0]
     assert [theta for theta, *_ in recorder.closes] == list(range(1, k + 1))
     basis = audit._basis(m, k)
@@ -481,6 +485,32 @@ def test_walk_hands_each_file_to_close_after_its_rounds(m, k):
         assert queries == [q for base in enumerate_realizations(m, k) for q in make_queries(theta, base, m)]
         assert answers == [answer(q, basis) for q in queries]
         assert rows == [a.value for a in answers]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 6))
+def test_table_and_memo_routes_hand_folds_equal_lists(m, k):
+    # the default builder's table route and the memo route of an equal
+    # builder must close every file with equal lists, each route handing
+    # out one tuple per distinct query and answering each once
+    assume(k * m ** (k + 1) <= audit.MAX_REALIZATIONS)
+    calls = 0
+
+    def counted(query, storage):
+        nonlocal calls
+        calls += 1
+        return answer(query, storage)
+
+    closes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("scpir.audit.answer", counted)
+        for query_fn in (sfpir._queries, lambda t, b, m: sfpir._queries(t, b, m)):
+            calls = 0
+            closes.append(audit._walk(m, k, [Recorder()], query_fn)[0].closes)
+            assert calls == m**k
+            seen = [q for _, _, queries, _, _ in closes[-1] for q in queries]
+            assert len({id(q) for q in seen}) == len(set(seen)) == m**k
+    assert closes[0] == closes[1]
 
 
 def queries_one_short(theta, base, m):
@@ -516,6 +546,36 @@ def queries_off_by_one_twice(theta, base, m):
 def test_walk_refuses_a_round_of_other_than_m_queries(query_fn, refused):
     # the folds regroup each file's lists M at a time, so a round of M - 1
     # or M + 1 queries must stop the walk, naming the file and the base
+    layout, _, library = build_instance(4, 3, 2)
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        privacy_audit(layout, library, query_fn=query_fn)
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        conditions_audit(3, 2, query_fn=query_fn)
+
+
+def queries_as_lists(theta, base, m):
+    """Faulty builder: every query is a list, which cannot be hashed."""
+    return [list(q) for q in make_queries(theta, base, m)]
+
+
+def queries_one_list(theta, base, m):
+    """Faulty builder: server 1's query for file 2 at base (1, 2) is a list."""
+    queries = make_queries(theta, base, m)
+    if theta == 2 and base == (1, 2):
+        queries[1] = list(queries[1])
+    return queries
+
+
+@pytest.mark.parametrize(
+    "query_fn, refused",
+    [
+        (queries_as_lists, "gave a query other than a tuple for file 1 at base (0, 0)"),
+        (queries_one_list, "gave a query other than a tuple for file 2 at base (1, 2)"),
+    ],
+)
+def test_walk_refuses_a_query_other_than_a_tuple(query_fn, refused):
+    # the memo looks each query up by its hash, so a list query must stop
+    # the walk with the file and the base, not an unhashable-type TypeError
     layout, _, library = build_instance(4, 3, 2)
     with pytest.raises(ValueError, match=re.escape(refused)):
         privacy_audit(layout, library, query_fn=query_fn)
