@@ -29,24 +29,24 @@ decodes the basis decodes every group of every library.
 The round-level audits (privacy, correctness, rate, conditions) are folds
 over one walk of the K*M^K (theta, base) rounds, refused up front when
 their K*M^(K+1) queries are over MAX_REALIZATIONS. Each round is validated
-once, by `decode`, so the walk's default query builder is `make_queries`
-without the range check.
+once, by `decode`.
 
-The walk goes file by file and hands each fold's `close` the file's
-queries, answers and rows (the answers' `value`s) as three flat lists, one
-entry per server per round, in round order. The rounds hold only M^K
-distinct queries, each answered once per walk (and per `run_full_audit`,
-whose four folds share one walk). With the default builder the walk
-answers them in `enumerate_realizations` order into three tables; a query
-of file theta differs from its base only at theta, so each file's lists
-are the tables cut by rotated list slices, and no query is built or
-hashed. Any other builder's queries go through a memo that answers each on
-first sight and keeps the first tuple seen. Only the tables and one file's
-lists are held. Folds that check rounds regroup the lists M at a time
-against a fresh enumeration of the base vectors. Each fold keeps only
-its sufficient statistic, with little Python work per round:
+The rounds hold only M^K distinct queries. The walk answers each once
+(once per `run_full_audit` too, whose four folds share one walk), in
+`enumerate_realizations` order, into two tables: replies and rows (the
+replies' `value`s). A query and its position in that order determine
+each other, so each file is one list of table positions, one per server
+per round, in round order. An honest query of file theta differs from
+its base only at theta, so honest positions are cut by rotated list
+slices, building and hashing no query; any other builder's queries are
+looked up in a map from query to position. The walk then gathers the
+file's answers and rows at its positions and hands each fold's `close`
+the three lists, holding only the tables and one file's lists. Folds
+that check rounds regroup the lists M at a time against a fresh
+enumeration of the base vectors. Each fold keeps only its sufficient
+statistic, with little Python work per round:
 
-* privacy counts each server position's queries, the walk's tuples;
+* privacy counts each server position's query positions;
 * correctness compares `decode`'s packet list with the basis packets;
 * rate counts the file's non-silent rows;
 * conditions reads each round's rows and looks up its two GF(2)
@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from operator import itemgetter, or_
+from operator import or_
 
 from . import sda, sfpir
 from .scheme import (
@@ -76,7 +76,7 @@ from .scheme import (
     require_retrieval_params,
     retrieve,
 )
-from .sfpir import ProtocolViolation, _queries, answer, decode, enumerate_realizations, make_queries
+from .sfpir import ProtocolViolation, answer, decode, enumerate_realizations, make_queries
 
 
 @dataclass(frozen=True)
@@ -144,12 +144,13 @@ MAX_REALIZATIONS = 10**6  # walked queries one round walk may count or check
 def _check_bill(m: int, k: int) -> None:
     """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
     MAX_REALIZATIONS, before the walk builds any list. The walk answers
-    only its M^K distinct queries and puts each round's M queries, answers
-    and rows in its file's lists. Per round, correctness decodes once, which
-    validates the round, and conditions runs at most two GF(2) eliminations
-    of at most M rows, none for wanted rows it met before, besides a few
-    mask tests; privacy and rate count the file's M*M^K queries or rows.
-    M^64 alone exceeds the budget for M >= 2, so the power stops there."""
+    only its M^K distinct queries and puts each round's M positions,
+    answers and rows in its file's lists. Per round, correctness decodes
+    once, which validates the round, and conditions runs at most two GF(2)
+    eliminations of at most M rows, none for wanted rows it met before,
+    besides a few mask tests; privacy and rate count the file's M*M^K
+    positions or rows. M^64 alone exceeds the budget for M >= 2, so the
+    power stops there."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -163,38 +164,6 @@ def _basis(m: int, k: int) -> sfpir.GroupStorage:
     width = m - 1
     bits = [(1 << b).to_bytes((k * width + 7) // 8, "little") for b in range(k * width)]
     return sfpir.GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
-
-
-class _Replies(dict):
-    """A non-default builder's memo: query -> (the first tuple seen, its
-    reply on `basis`, its `value`). Each query is answered once, through
-    this module's `answer`, on its first lookup, where an out-of-range
-    query raises; folds hold the builder's first tuples, not copies."""
-
-    def __init__(self, basis: sfpir.GroupStorage):
-        super().__init__()
-        self.basis = basis
-
-    def __missing__(self, query):
-        reply = answer(query, self.basis)
-        entry = self[query] = query, reply, reply.value
-        return entry
-
-    def lists(self, theta: int, m: int, k: int, query_fn) -> list:
-        """File theta's queries, answers and rows in round order, from the
-        builder's rounds. A round other than M queries, or a query other
-        than a tuple, is refused with ValueError: the folds regroup the
-        lists M at a time, and the memo hashes every query."""
-        entries = []
-        for base in enumerate_realizations(m, k):
-            queries = query_fn(theta, base, m)
-            if len(queries) != m:
-                raise ValueError(f"query builder gave {len(queries)} queries for file {theta} at base {base}, "
-                                 f"not M={m}")
-            if not all(isinstance(q, tuple) for q in queries):
-                raise ValueError(f"query builder gave a query other than a tuple for file {theta} at base {base}")
-            entries += map(self.__getitem__, queries)
-        return [list(map(itemgetter(i), entries)) for i in range(3)]
 
 
 def _file_order(table: list, theta: int, m: int) -> list:
@@ -217,27 +186,49 @@ def _file_order(table: list, theta: int, m: int) -> list:
     return flat
 
 
-def _walk(m: int, k: int, folds, query_fn=_queries) -> list:
+def _builder_order(query_fn, theta: int, m: int, index: dict, basis: sfpir.GroupStorage) -> list:
+    """File theta's table positions in round order, from the rounds of the
+    builder `query_fn`; `index` maps each of the M^K queries to its
+    position. A round other than M queries, or a query other than a tuple,
+    is refused with ValueError: the folds regroup the lists M at a time,
+    and `index` hashes every query. A tuple outside the table goes to
+    `answer`, which refuses it."""
+    order = []
+    for base in enumerate_realizations(m, basis.k):
+        queries = query_fn(theta, base, m)
+        if len(queries) != m:
+            raise ValueError(f"query builder gave {len(queries)} queries for file {theta} at base {base}, "
+                             f"not M={m}")
+        if not all(isinstance(q, tuple) for q in queries):
+            raise ValueError(f"query builder gave a query other than a tuple for file {theta} at base {base}")
+        try:
+            order += map(index.__getitem__, queries)
+        except KeyError as missing:
+            answer(missing.args[0], basis)
+            raise
+    return order
+
+
+def _walk(m: int, k: int, folds, query_fn=None) -> list:
     """Walk every round of one (M, K) group once, after checking its bill,
     and return each fold's `finish()`. Each file goes to every fold's
-    `close(theta, m, queries, answers, rows)` once, file after file, as flat
-    lists in round order: cut from the answered tables of the M^K queries
-    (`_file_order`) for the default builder, from `_Replies` for any other."""
+    `close(theta, m, positions, answers, rows)` once, file after file: its
+    positions in the table of the M^K answered queries, in round order, cut
+    by `_file_order` for the honest queries (`query_fn` None) or looked up
+    by `_builder_order` for the builder's, and the replies and rows there."""
     _check_bill(m, k)
     basis = _basis(m, k)
-    if query_fn is _queries:
-        table = list(enumerate_realizations(m, k))
-        replies = list(map(answer, table, repeat(basis)))
-        tables = table, replies, [reply.value for reply in replies]
-        files = ([_file_order(t, theta, m) for t in tables] for theta in range(1, k + 1))
-    else:
-        memo = _Replies(basis)
-        files = (memo.lists(theta, m, k, query_fn) for theta in range(1, k + 1))
+    replies = list(map(answer, enumerate_realizations(m, k), repeat(basis)))
+    rows = [reply.value for reply in replies]
+    table = list(range(len(replies)))
+    index = None if query_fn is None else dict(zip(enumerate_realizations(m, k), table))
     for theta in range(1, k + 1):
-        lists = next(files)
+        positions = (_file_order(table, theta, m) if query_fn is None
+                     else _builder_order(query_fn, theta, m, index, basis))
+        lists = positions, [replies[i] for i in positions], [rows[i] for i in positions]
         for fold in folds:
             fold.close(theta, m, *lists)
-        del lists  # hold one file's lists, not two while the next file's are cut
+        del positions, lists  # hold one file's lists, not two while the next file's are cut
     return [fold.finish() for fold in folds]
 
 
@@ -245,22 +236,24 @@ class _Privacy:
     """Per server position, the multiset of received queries over all M^K
     base vectors must be the same for every wanted file as for file 1.
     That one (M, K) round decides every server's whole view, in every
-    group and jointly over its groups (see the module docstring). `close`
-    counts each position's queries, every M-th of the walk's shared tuples,
-    into a `Counter`. Only file 1's views are held."""
+    group and jointly over its groups (see the module docstring). A query
+    and its position in `enumerate_realizations` order determine each
+    other, so equal multisets of positions are equal multisets of queries:
+    `close` counts every M-th of the file's positions into a `Counter`.
+    Only file 1's views are held."""
 
     def __init__(self, m: int):
         self.m = m
         self.reference = []  # file 1's view per position
         self.mismatches = []  # (position, file) whose view differs from file 1's
 
-    def close(self, theta, m, queries, answers, rows):
+    def close(self, theta, m, positions, answers, rows):
         first = not self.reference
         # dict equality is exact here: a Counter built by counting holds no
         # zero count, and C-level dict.__eq__ skips Counter.__eq__'s
         # Python-level walk that treats missing keys as zero
         for pos in range(m):
-            view = Counter(queries[pos::m])
+            view = Counter(positions[pos::m])
             if first:
                 self.reference.append(view)
             elif not dict.__eq__(view, self.reference[pos]):
@@ -278,7 +271,7 @@ class _Privacy:
         )
 
 
-def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=_queries) -> AuditCheck:
+def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=None) -> AuditCheck:
     """The privacy fold (`_Privacy`) over one walk."""
     return _walk(layout.m, library.k_files, [_Privacy(layout.m)], query_fn)[0]
 
@@ -318,7 +311,7 @@ class _Correctness:
                 violation = " (protocol violation)"
             self._fail(f"file {theta} mis-decoded at {where}base {base}{violation}")
 
-    def close(self, theta, m, queries, answers, rows):
+    def close(self, theta, m, positions, answers, rows):
         self.runs += len(answers) // m
         rounds = zip(enumerate_realizations(m, self.plan.k), zip(*[iter(answers)] * m))
         self._decode(theta, rounds, self.wants[theta - 1])
@@ -372,7 +365,7 @@ class _Rate:
         self.layout, self.k = layout, k
         self.sent = Counter()
 
-    def close(self, theta, m, queries, answers, rows):
+    def close(self, theta, m, positions, answers, rows):
         self.sent[theta] = len(rows) - rows.count(None)
 
     def finish(self) -> AuditCheck:
@@ -462,9 +455,10 @@ class _Conditions:
     and tagged (every wanted_i | fresh). Both depend on the tuple of
     wanted rows alone, whatever built the queries, so the fold keeps them
     per tuple for the walk and eliminates only tuples it has not met; only
-    where residual identity fails are the kept rows eliminated in full.
-    A round where residual identity holds for every unwanted file and both
-    verdicts hold has nothing to note and skips the per-file loop.
+    where residual identity fails are the kept rows eliminated in full. At
+    K = 1 no two honest rounds share their wanted rows, so there it keeps
+    none. A round where residual identity holds for every unwanted file and
+    both verdicts hold has nothing to note and skips the per-file loop.
     """
 
     def __init__(self, m: int, k: int):
@@ -486,7 +480,7 @@ class _Conditions:
         self.violations += 1
         self.first = self.first or (kind, theta, base)
 
-    def close(self, theta, m, queries, answers, rows):
+    def close(self, theta, m, positions, answers, rows):
         own, loose, others = self.blocks[theta - 1], self.loose[theta - 1], self.others[theta - 1]
         known, fresh = self.verdicts, self.fresh
         for base, replied in zip(enumerate_realizations(m, len(self.blocks)), zip(*[iter(rows)] * m)):
@@ -501,10 +495,12 @@ class _Conditions:
             wanted = tuple(wanted)
             verdicts = known.get(wanted)
             if verdicts is None:
-                verdicts = known[wanted] = (
+                verdicts = (
                     _gf2_independent([w for w in wanted if w]),
                     _gf2_independent([w | fresh for w in wanted]),
                 )
+                if len(self.blocks) > 1:
+                    known[wanted] = verdicts
             retrieved, tagged = verdicts
             # the bits on which some row differs from the others; duplicate
             # shifts at M = 2 can silence every server, and then nothing differs
@@ -534,7 +530,7 @@ class _Conditions:
         )
 
 
-def conditions_audit(m: int, k: int, query_fn=_queries) -> AuditCheck:
+def conditions_audit(m: int, k: int, query_fn=None) -> AuditCheck:
     """The conditions fold (`_Conditions`) over one walk."""
     return _walk(m, k, [_Conditions(m, k)], query_fn)[0]
 

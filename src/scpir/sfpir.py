@@ -49,7 +49,7 @@ class Answer:
     payload's size is its byte count; a nonzero `size` that differs from it,
     or a value that is neither None, an int nor bytes-like, raises
     ValueError too, as does silence with a nonzero `size`, so `SILENT` is
-    the one silent reply. Slots keep each reply small: an audit walk's memo
+    the one silent reply. Slots keep each reply small: an audit walk's table
     holds one per distinct query.
     """
 
@@ -149,15 +149,10 @@ def _check_round(theta: int, base: tuple[int, ...], m: int) -> None:
 
 def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
     """Queries for servers 0..M-1: the base vector with coordinate theta
-    (1-based) shifted by the server index modulo M."""
+    (1-based) shifted by the server index modulo M. The audit walk's honest
+    route calls no builder: it cuts each file's positions among the M^K
+    queries from their `enumerate_realizations` order instead."""
     _check_round(theta, base, m)
-    return _queries(theta, base, m)
-
-
-def _queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
-    """`make_queries` without the range check: the audit walk's default
-    builder, whose queries the walk cuts from one table of the M^K
-    queries instead of calling it."""
     vec, wanted, queries = list(base), theta - 1, []
     shift = base[wanted]
     for shifted in range(shift, shift + m):  # one list, overwritten at the wanted coordinate

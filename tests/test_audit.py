@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from scpir import audit, sda, sfpir
+from scpir import audit, sda
 from scpir.audit import (
     conditions_audit,
     correctness_audit,
@@ -454,45 +454,48 @@ class Recorder:
     def __init__(self):
         self.closes = []
 
-    def close(self, theta, m, queries, answers, rows):
-        self.closes.append((theta, m, list(queries), list(answers), list(rows)))
+    def close(self, theta, m, positions, answers, rows):
+        self.closes.append((theta, m, list(positions), list(answers), list(rows)))
 
     def finish(self):
         return self
 
 
-@pytest.mark.parametrize("query_fn", [sfpir._queries, make_queries, queries_duplicate_shift])
-def test_walk_hands_out_one_tuple_per_distinct_query(query_fn):
-    # folds that keep queries keep references to the walk's tables or memo,
-    # not copies; sfpir._queries is the default builder, the table route
-    recorder = audit._walk(3, 3, [Recorder()], query_fn)[0]
-    seen = [q for _, _, queries, _, _ in recorder.closes for q in queries]
-    assert len(seen) == 3 * 3 * 3**3
-    assert len({id(q) for q in seen}) == len(set(seen)) == 3**3
+def check_closes(closes, query_fn, m, k):
+    """Each file reached `close` once, file after file, with the positions
+    in `enumerate_realizations` order of the queries `query_fn` sends for
+    it, in round order, M per round, and the answers and rows of those
+    queries."""
+    assert [theta for theta, *_ in closes] == list(range(1, k + 1))
+    basis = audit._basis(m, k)
+    index = {q: i for i, q in enumerate(enumerate_realizations(m, k))}
+    for theta, got_m, positions, answers, rows in closes:
+        queries = [q for base in enumerate_realizations(m, k) for q in query_fn(theta, base, m)]
+        assert got_m == m
+        assert positions == [index[q] for q in queries]
+        assert answers == [answer(q, basis) for q in queries]
+        assert rows == [a.value for a in answers]
 
 
 @pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (4, 1), (3, 3), (2, 5), (4, 3)])
 def test_walk_hands_each_file_to_close_after_its_rounds(m, k):
-    # each file reaches `close` once, file after file, with that file's
-    # queries, answers and rows in `enumerate_realizations` order, M
-    # entries per round; theta runs from one block (theta = 1) to stride 1
-    # (theta = K) of the default builder's table
-    recorder = audit._walk(m, k, [Recorder()])[0]
-    assert [theta for theta, *_ in recorder.closes] == list(range(1, k + 1))
-    basis = audit._basis(m, k)
-    for theta, got_m, queries, answers, rows in recorder.closes:
-        assert got_m == m
-        assert queries == [q for base in enumerate_realizations(m, k) for q in make_queries(theta, base, m)]
-        assert answers == [answer(q, basis) for q in queries]
-        assert rows == [a.value for a in answers]
+    # the honest route's positions are `make_queries`'; theta runs from one
+    # block (theta = 1) to stride 1 (theta = K) of its table
+    check_closes(audit._walk(m, k, [Recorder()])[0].closes, make_queries, m, k)
+
+
+@pytest.mark.parametrize("query_fn", [queries_duplicate_shift, queries_missing_offset])
+def test_builder_route_hands_folds_the_positions_sent(query_fn):
+    # a builder's queries reach `close` as their positions, in the order
+    # the builder sent them
+    check_closes(audit._walk(3, 3, [Recorder()], query_fn)[0].closes, query_fn, 3, 3)
 
 
 @settings(max_examples=6, deadline=None)
 @given(st.integers(2, 7), st.integers(1, 6))
 def test_table_and_memo_routes_hand_folds_equal_lists(m, k):
-    # the default builder's table route and the memo route of an equal
-    # builder must close every file with equal lists, each route handing
-    # out one tuple per distinct query and answering each once
+    # the honest route and the builder route of an equal builder must
+    # close every file with equal lists, each answering every query once
     assume(k * m ** (k + 1) <= audit.MAX_REALIZATIONS)
     calls = 0
 
@@ -504,12 +507,10 @@ def test_table_and_memo_routes_hand_folds_equal_lists(m, k):
     closes = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("scpir.audit.answer", counted)
-        for query_fn in (sfpir._queries, lambda t, b, m: sfpir._queries(t, b, m)):
+        for query_fn in (None, lambda t, b, m: make_queries(t, b, m)):
             calls = 0
             closes.append(audit._walk(m, k, [Recorder()], query_fn)[0].closes)
             assert calls == m**k
-            seen = [q for _, _, queries, _, _ in closes[-1] for q in queries]
-            assert len({id(q) for q in seen}) == len(set(seen)) == m**k
     assert closes[0] == closes[1]
 
 
@@ -574,8 +575,42 @@ def queries_one_list(theta, base, m):
     ],
 )
 def test_walk_refuses_a_query_other_than_a_tuple(query_fn, refused):
-    # the memo looks each query up by its hash, so a list query must stop
+    # the walk looks each query up by its hash, so a list query must stop
     # the walk with the file and the base, not an unhashable-type TypeError
+    layout, _, library = build_instance(4, 3, 2)
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        privacy_audit(layout, library, query_fn=query_fn)
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        conditions_audit(3, 2, query_fn=query_fn)
+
+
+def queries_entry_m(theta, base, m):
+    """Faulty builder: server 1's query for file 2 at base (1, 2) points at
+    packet M, which no server has."""
+    queries = make_queries(theta, base, m)
+    if theta == 2 and base == (1, 2):
+        queries[1] = queries[1][:-1] + (m,)
+    return queries
+
+
+def queries_one_entry_short(theta, base, m):
+    """Faulty builder: server 1's query for file 2 at base (1, 2) has K - 1
+    entries."""
+    queries = make_queries(theta, base, m)
+    if theta == 2 and base == (1, 2):
+        queries[1] = queries[1][:-1]
+    return queries
+
+
+@pytest.mark.parametrize(
+    "query_fn, refused",
+    [
+        (queries_entry_m, "query (1, 3) has entries outside 0..2"),
+        (queries_one_entry_short, "query length 1 != K=2"),
+    ],
+)
+def test_walk_refuses_a_query_outside_the_table(query_fn, refused):
+    # a tuple that is not one of the M^K queries is refused by `answer`
     layout, _, library = build_instance(4, 3, 2)
     with pytest.raises(ValueError, match=re.escape(refused)):
         privacy_audit(layout, library, query_fn=query_fn)
