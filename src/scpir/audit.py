@@ -46,12 +46,13 @@ that check rounds regroup the lists M at a time against a fresh
 enumeration of the base vectors. Each fold keeps only its sufficient
 statistic, with little Python work per round:
 
-* privacy counts each server position's query positions;
+* privacy sorts each server position's query positions, none at K = 1;
 * correctness compares `decode`'s packet list with the basis packets;
 * rate counts the file's non-silent rows;
 * conditions reads each round's rows and looks up its two GF(2)
-  verdicts by its wanted rows, so it eliminates only wanted rows it has
-  not met before in the walk.
+  verdicts by its wanted rows (one at K = 1, where no unwanted file reads
+  the other), so it eliminates only wanted rows it has not met before in
+  the walk.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -147,10 +148,10 @@ def _check_bill(m: int, k: int) -> None:
     only its M^K distinct queries and puts each round's M positions,
     answers and rows in its file's lists. Per round, correctness decodes
     once, which validates the round, and conditions runs at most two GF(2)
-    eliminations of at most M rows, none for wanted rows it met before,
-    besides a few mask tests; privacy and rate count the file's M*M^K
-    positions or rows. M^64 alone exceeds the budget for M >= 2, so the
-    power stops there."""
+    eliminations of at most M rows (one at K = 1), none for wanted rows it
+    met before, besides a few mask tests; privacy sorts the file's M*M^K
+    positions (none at K = 1), and rate counts its rows. M^64 alone
+    exceeds the budget for M >= 2, so the power stops there."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -238,25 +239,24 @@ class _Privacy:
     That one (M, K) round decides every server's whole view, in every
     group and jointly over its groups (see the module docstring). A query
     and its position in `enumerate_realizations` order determine each
-    other, so equal multisets of positions are equal multisets of queries:
-    `close` counts every M-th of the file's positions into a `Counter`.
-    Only file 1's views are held."""
+    other, so equal multisets of positions are equal multisets of queries,
+    and two multisets are equal exactly when their sorted lists are:
+    `close` sorts every M-th of the file's positions. File 1's sorted
+    lists are held only when another file follows, so at K = 1 the fold
+    does no work."""
 
-    def __init__(self, m: int):
-        self.m = m
-        self.reference = []  # file 1's view per position
+    def __init__(self, k: int):
+        self.k = k
+        self.reference = []  # file 1's sorted positions per server position
         self.mismatches = []  # (position, file) whose view differs from file 1's
 
     def close(self, theta, m, positions, answers, rows):
-        first = not self.reference
-        # dict equality is exact here: a Counter built by counting holds no
-        # zero count, and C-level dict.__eq__ skips Counter.__eq__'s
-        # Python-level walk that treats missing keys as zero
-        for pos in range(m):
-            view = Counter(positions[pos::m])
-            if first:
-                self.reference.append(view)
-            elif not dict.__eq__(view, self.reference[pos]):
+        if theta == 1:
+            if self.k > 1:
+                self.reference = [sorted(positions[pos::m]) for pos in range(m)]
+            return
+        for pos, view in enumerate(self.reference):
+            if sorted(positions[pos::m]) != view:
                 self.mismatches.append((pos, theta))
 
     def finish(self) -> AuditCheck:
@@ -273,7 +273,7 @@ class _Privacy:
 
 def privacy_audit(layout: PacketLayout, library: FileLibrary, query_fn=None) -> AuditCheck:
     """The privacy fold (`_Privacy`) over one walk."""
-    return _walk(layout.m, library.k_files, [_Privacy(layout.m)], query_fn)[0]
+    return _walk(layout.m, library.k_files, [_Privacy(library.k_files)], query_fn)[0]
 
 
 class _Correctness:
@@ -456,9 +456,11 @@ class _Conditions:
     wanted rows alone, whatever built the queries, so the fold keeps them
     per tuple for the walk and eliminates only tuples it has not met; only
     where residual identity fails are the kept rows eliminated in full. At
-    K = 1 no two honest rounds share their wanted rows, so there it keeps
-    none. A round where residual identity holds for every unwanted file and
-    both verdicts hold has nothing to note and skips the per-file loop.
+    K = 1 no unwanted file reads tagged, so each round gets the retrieved
+    elimination alone, and no two honest rounds share their wanted rows,
+    so the fold keeps none. A round where residual identity holds for
+    every unwanted file and both verdicts hold has nothing to note and
+    skips the per-file loop.
     """
 
     def __init__(self, m: int, k: int):
@@ -495,12 +497,10 @@ class _Conditions:
             wanted = tuple(wanted)
             verdicts = known.get(wanted)
             if verdicts is None:
-                verdicts = (
-                    _gf2_independent([w for w in wanted if w]),
-                    _gf2_independent([w | fresh for w in wanted]),
-                )
-                if len(self.blocks) > 1:
-                    known[wanted] = verdicts
+                retrieved = _gf2_independent([w for w in wanted if w])
+                verdicts = retrieved, True  # only an unwanted file reads tagged; K = 1 has none
+                if others:
+                    verdicts = known[wanted] = retrieved, _gf2_independent([w | fresh for w in wanted])
             retrieved, tagged = verdicts
             # the bits on which some row differs from the others; duplicate
             # shifts at M = 2 can silence every server, and then nothing differs
@@ -537,16 +537,17 @@ def conditions_audit(m: int, k: int, query_fn=None) -> AuditCheck:
 
 def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
     """Sub-packetization of each built construction versus its closed form
-    in `sda`, the combinatorial floor, and the worst-case gap."""
+    in `sda.closed_forms`, the combinatorial floor, and the worst-case gap."""
+    _, equal_form, greedy_form, improved_form, lower, bound = sda.closed_forms(n, m)
 
     def compare(name, build, closed_form, tag) -> tuple[int, AuditCheck]:
         eta = sda.column_profile(build(n, m)).eta
         return eta, AuditCheck(name, eta == closed_form, eta * (m - 1), closed_form * (m - 1), tag)
 
     eta_equal, equal = compare("equal-size-subpacketization", sda.build_equal_size,
-                               sda.eta_equal(n, m), "distinct-cyclic-columns")
+                               equal_form, "distinct-cyclic-columns")
     eta_greedy, greedy = compare("greedy-subpacketization", sda.build_greedy,
-                                 sda.eta_recursion(n, m), "greedy-recursion-value")
+                                 greedy_form, "greedy-recursion-value")
     checks = [
         equal,
         greedy,
@@ -558,12 +559,9 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
             tag="unequal-packets-never-worse",
         ),
     ]
-    family = sda.improved_family(n, m)
-    if family is not None:
+    if improved_form is not None:
         checks.append(compare("improved-subpacketization", sda.build_improved,
-                              family[2], "block-template-value")[1])
-    lower = sda.eta_lower_bound(n, m)
-    bound = sda.gap_bound(n, m)
+                              improved_form, "block-template-value")[1])
     ratio = Fraction(eta_greedy, lower)
     checks.append(
         AuditCheck(
@@ -595,7 +593,7 @@ def run_full_audit(n: int, m: int, k: int, seed: int = 0) -> AuditReport:
     require_retrieval_params(m, k)
     _check_bill(m, k)
     layout, plan, library = greedy_scheme(n, m, k, 1, seed)
-    folds = [_Privacy(m), _Correctness(plan, layout, library, _as_sent),
+    folds = [_Privacy(k), _Correctness(plan, layout, library, _as_sent),
              _Rate(layout, k), _Conditions(m, k)]
     return AuditReport([storage_audit(plan, layout), *_walk(m, k, folds),
                         *subpacketization_audit(n, m)])

@@ -336,7 +336,8 @@ def closed_forms(n: int, m: int) -> tuple[int, int, int, int | None, int, int]:
     eta_improved is `improved_family`'s eta, or None outside the family.
 
     The one place each of these forms is computed: the per-quantity
-    functions read their entry, and `analyze` reads all six per row.
+    functions read their entry, `analyze` reads all six per row, and
+    `audit.subpacketization_audit` reads its five once.
     """
     require_params(n, m)
     g = gcd(n, m)

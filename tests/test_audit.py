@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -64,12 +65,6 @@ class TestPrivacyAudit:
             assert "separate requests" in check.detail
 
     def test_names_the_leaking_position(self):
-        # only server 1 sees the bare base with the wanted coordinate zeroed
-        def leak_at_server_1(theta, base, m):
-            queries = make_queries(theta, base, m)
-            queries[1] = base[: theta - 1] + (0,) + base[theta:]
-            return queries
-
         layout, _, library = build_instance(4, 3, 3)
         check = privacy_audit(layout, library, query_fn=leak_at_server_1)
         assert (check.passed, check.measured) == (False, 2)  # position 1, files 2 and 3
@@ -342,8 +337,8 @@ class TestConditionsAudit:
 
     @pytest.mark.parametrize(
         "m, k",
-        [(2, 2), (2, 5), (2, 7), (2, 9), (3, 2), (3, 4), (3, 5), (4, 3), (4, 4), (5, 2), (5, 3),
-         (6, 2)],
+        [(2, 1), (3, 1), (5, 1), (2, 2), (2, 5), (2, 7), (2, 9), (3, 2), (3, 4), (3, 5), (4, 3),
+         (4, 4), (5, 2), (5, 3), (6, 2)],
     )
     def test_count_matches_long_way(self, m, k):
         builders = (make_queries, queries_duplicate_shift, queries_missing_offset, shifted_unwanted)
@@ -358,6 +353,14 @@ def shifted_unwanted(theta, base, m):
     other = theta % len(base)
     moved = queries[1][:other] + ((queries[1][other] + 1) % m,) + queries[1][other + 1 :]
     return [queries[0], moved] + queries[2:]
+
+
+def leak_at_server_1(theta, base, m):
+    """Faulty builder: only server 1 sees the bare base with the wanted
+    coordinate zeroed."""
+    queries = make_queries(theta, base, m)
+    queries[1] = base[: theta - 1] + (0,) + base[theta:]
+    return queries
 
 
 @functools.cache
@@ -403,6 +406,34 @@ def per_file_violations(m, k, query_fn):
                 mask = ~(blocks[theta - 1] | blocks[other - 1])
                 violations += len({r & mask for r in rows}) > 1
     return violations
+
+
+def privacy_mismatches(m, k, query_fn):
+    """The privacy verdicts built the long way, sharing nothing with the
+    audit's walk: a `Counter` of the query tuples each server position
+    receives for each file over `enumerate_realizations`, and every
+    (position, file) pair whose Counter differs from file 1's, in the
+    order the audit reports them."""
+    views = {theta: [Counter() for _ in range(m)] for theta in range(1, k + 1)}
+    for theta, view in views.items():
+        for base in enumerate_realizations(m, k):
+            for pos, query in enumerate(query_fn(theta, base, m)):
+                view[pos][query] += 1
+    return [(pos, theta) for theta in range(2, k + 1) for pos in range(m)
+            if views[theta][pos] != views[1][pos]]
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (3, 1), (5, 1), (2, 3), (3, 3), (4, 2), (3, 4)])
+def test_privacy_count_matches_long_way(m, k):
+    layout, _, library = build_instance(m + 1, m, k)
+    builders = (make_queries, queries_missing_offset, queries_duplicate_shift, shifted_unwanted,
+                leak_at_server_1)
+    first = "the server at position {} of every group can separate requests for file 1 and file {}"
+    for query_fn in builders:
+        check = privacy_audit(layout, library, query_fn=query_fn)
+        pairs = privacy_mismatches(m, k, query_fn)
+        assert (check.passed, check.measured) == (not pairs, len(pairs)), query_fn.__name__
+        assert check.detail == (first.format(*pairs[0]) if pairs else ""), query_fn.__name__
 
 
 @pytest.mark.parametrize("m, k", [(3, 3), (5, 2)])
