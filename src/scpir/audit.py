@@ -392,14 +392,14 @@ def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
 def storage_audit(plan: StoragePlan, layout: PacketLayout) -> AuditCheck:
     """Placement and capacity are exact: every group (hence every packet)
     sits on exactly M servers, and every server's stored symbol count is
-    exactly M*K*L/N."""
+    exactly M*K*L/N, with N, M and L the layout's and K the plan's."""
     problems = []
     holders = Counter(gi for stored in plan.per_server.values() for gi in set(stored))
     for gi in range(len(layout.groups)):
-        if holders[gi] != plan.m:
-            problems.append(f"group {gi} stored on {holders[gi]} servers, expected {plan.m}")
-    budget = Fraction(plan.m * plan.k * plan.file_len, plan.n)
-    for server in range(1, plan.n + 1):
+        if holders[gi] != layout.m:
+            problems.append(f"group {gi} stored on {holders[gi]} servers, expected {layout.m}")
+    budget = Fraction(layout.m * plan.k * layout.file_len, layout.n)
+    for server in range(1, layout.n + 1):
         used = plan.k * sum(layout.groups[gi].group_bytes for gi in plan.per_server.get(server, ()))
         if used != budget:
             problems.append(f"server {server} stores {used} symbols, expected {budget}")

@@ -59,7 +59,7 @@ def transcript_record(n: int, m: int, k: int, transcript: RetrievalTranscript, m
                 "base": list(g.base),
                 "queries": [list(q) for q in g.queries],
                 "silent": [a.silent for a in g.answers],
-                "payload_len": [0 if a.silent else a.size for a in g.answers],
+                "payload_len": [a.size for a in g.answers],
             }
             for g in transcript.groups
         ],

@@ -13,30 +13,20 @@ with coefficients 0 and 1, so no multiplication table is needed. The empty
 byte string doubles as the dummy packet: it is the additive identity and
 is never stored or transmitted.
 
-XOR is realized on whole packets at once: a packet is read as one
-little-endian integer, so byte i of every packet lands on the same bits
-and a shorter packet is implicitly zero-extended. The result's width is
-always taken from the packet lengths, never from the integer's bit
-length, so zero bytes at either end survive.
+XOR is realized on whole packets at once, in `sum_packets` alone: a packet
+is read as one little-endian integer, so byte i of every packet lands on
+the same bits and a shorter packet is implicitly zero-extended. The
+result's width is always taken from the packet lengths, never from the
+integer's bit length, so zero bytes at either end survive.
 """
 
 DUMMY = b""
 
 
 def add_packets(a: bytes, b: bytes) -> bytes:
-    """XOR two packets position-wise, zero-extending the shorter one.
-
-    The overlapping prefix is XORed as integers and the longer packet's
-    tail passes through; when either packet is empty the other is
-    returned unchanged.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    n = len(b)
-    head = (int.from_bytes(a[:n], "little") ^ int.from_bytes(b, "little")).to_bytes(n, "little")
-    return head + a[n:]
+    """XOR two packets position-wise, zero-extending the shorter one: the
+    two-term `sum_packets`."""
+    return sum_packets((a, b))
 
 
 def sum_packets(packets) -> bytes:

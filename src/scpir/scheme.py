@@ -62,13 +62,11 @@ class PacketLayout:
 
 @dataclass(frozen=True)
 class StoragePlan:
-    """Per-server inventory: which groups a server stores and the exact
-    symbol count that costs, which always equals M*K*L/N."""
+    """The per-server inventory of a `PacketLayout`, which owns N, M and L:
+    which groups each server stores, and the exact symbol count that costs
+    for K files, which always equals M*K*L/N."""
 
-    n: int
-    m: int
     k: int
-    file_len: int
     per_server: dict[int, tuple[int, ...]]
     capacity_used: dict[int, int]
 
@@ -164,7 +162,7 @@ def plan_storage(alpha: sda.AlphaAssignment, k: int, file_len: int):
             stored[server].append(i)
             capacity[server] += k * region.group_bytes
     per_server = {server: tuple(held) for server, held in stored.items()}
-    return layout, StoragePlan(n, m, k, file_len, per_server, capacity)
+    return layout, StoragePlan(k, per_server, capacity)
 
 
 def greedy_scheme(n: int, m: int, k: int, l_mult: int, seed: int):
@@ -231,7 +229,7 @@ def retrieve(
         queries = make_queries(theta, base, layout.m)
         answers = [answer(q, storage) for q in queries]
         segments.append(b"".join(decode(theta, base, answers)))
-        downloaded += sum(a.size for a in answers if not a.silent)
+        downloaded += sum(a.size for a in answers)
         rounds.append(
             GroupTranscript(index, region.servers, base, tuple(queries), tuple(answers))
         )

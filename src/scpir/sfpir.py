@@ -129,10 +129,13 @@ _SERVER_SETS = tuple(frozenset(range(m)) for m in range(33))  # built once, for 
 
 
 def _in_range(entries, m: int) -> bool:
-    """Whether every entry is a server index 0..M-1: a subset test, so a
-    non-integer entry such as 1.5 is outside too."""
-    servers = _SERVER_SETS[m] if m < len(_SERVER_SETS) else frozenset(range(m))
-    return servers.issuperset(entries)
+    """Whether every entry is a server index 0..M-1: a subset test, or past
+    the prebuilt sets one `range` membership test per entry, which costs
+    O(K) rather than building M-entry sets. Either way a non-integer entry
+    such as 1.5 is outside too."""
+    if m < len(_SERVER_SETS):
+        return _SERVER_SETS[m].issuperset(entries)
+    return all(map(range(m).__contains__, entries))
 
 
 def _check_round(theta: int, base: tuple[int, ...], m: int) -> None:

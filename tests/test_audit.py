@@ -26,7 +26,6 @@ from scpir.audit import (
 from scpir.cli import ANALYZE_HEADER, analysis_row
 from scpir.oracle import min_eta_star
 from scpir.scheme import (
-    StoragePlan,
     average_download,
     minimal_length,
     plan_storage,
@@ -270,7 +269,7 @@ class TestStorageAudit:
         )
         per = dict(plan.per_server)
         per[outsider] = per[outsider] + (0,)
-        bad = StoragePlan(plan.n, plan.m, plan.k, plan.file_len, per, plan.capacity_used)
+        bad = dataclasses.replace(plan, per_server=per)
         check = storage_audit(bad, layout)
         assert not check.passed
         assert "group 0" in check.detail
@@ -284,7 +283,7 @@ class TestStorageAudit:
         per = dict(plan.per_server)
         per[donor] = tuple(g for g in per[donor] if g != 1)
         per[taker] = per[taker] + (1,)
-        bad = StoragePlan(plan.n, plan.m, plan.k, plan.file_len, per, plan.capacity_used)
+        bad = dataclasses.replace(plan, per_server=per)
         check = storage_audit(bad, layout)
         assert not check.passed
         assert "symbols" in check.detail
@@ -341,7 +340,8 @@ class TestConditionsAudit:
          (4, 4), (5, 2), (5, 3), (6, 2)],
     )
     def test_count_matches_long_way(self, m, k):
-        builders = (make_queries, queries_duplicate_shift, queries_missing_offset, shifted_unwanted)
+        builders = (make_queries, queries_duplicate_shift, queries_missing_offset, shifted_unwanted,
+                    duplicate_and_shifted)
         for query_fn in builders:
             check = conditions_audit(m, k, query_fn=query_fn)
             assert check.measured == per_file_violations(m, k, query_fn), query_fn.__name__
@@ -353,6 +353,15 @@ def shifted_unwanted(theta, base, m):
     other = theta % len(base)
     moved = queries[1][:other] + ((queries[1][other] + 1) % m,) + queries[1][other + 1 :]
     return [queries[0], moved] + queries[2:]
+
+
+def duplicate_and_shifted(theta, base, m):
+    """Faulty builder: `shifted_unwanted`'s queries, with server 2 sent
+    server 0's query, so residual identity fails in rounds whose kept rows
+    are also dependent. At M = 2 there is no server 2 and the queries are
+    `shifted_unwanted`'s."""
+    queries = shifted_unwanted(theta, base, m)
+    return queries[:2] + queries[:1] + queries[3:] if m > 2 else queries
 
 
 def leak_at_server_1(theta, base, m):

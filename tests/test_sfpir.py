@@ -435,7 +435,7 @@ def test_random_base_vector_in_range_and_seeded():
     assert vecs == [random_base_vector(rng2, 4, 3) for _ in range(50)]
 
 
-@pytest.mark.parametrize("m", [2, 3, 40])  # 40 is past the prebuilt index sets
+@pytest.mark.parametrize("m", [2, 3, 40, 1000])  # 40 and 1000 are past the prebuilt index sets
 def test_non_integer_entries_are_outside_the_range(m):
     # a fractional entry lies between two server indices, so it is refused
     # as out of range, not left to fail later at an index
