@@ -32,27 +32,25 @@ their K*M^(K+1) queries are over MAX_REALIZATIONS. Each round is validated
 once, by `decode`.
 
 The rounds hold only M^K distinct queries. The walk answers each once
-(once per `run_full_audit` too, whose four folds share one walk), in
-`enumerate_realizations` order, into two tables: replies and rows (the
-replies' `value`s). A query and its position in that order determine
-each other, so each file is one list of table positions, one per server
-per round, in round order. An honest query of file theta differs from
-its base only at theta, so honest positions are cut by rotated list
-slices, building and hashing no query; any other builder's queries are
-looked up in a map from query to position. The walk then gathers the
-file's answers and rows at its positions and hands each fold's `close`
-the three lists, holding only the tables and one file's lists. Folds
-that check rounds regroup the lists M at a time against a fresh
-enumeration of the base vectors. Each fold keeps only its sufficient
-statistic, with little Python work per round:
+(once per `run_full_audit` too, whose four folds share one walk) into
+one table of replies, in `enumerate_realizations` order. A query and its
+position in that order determine each other, so each file is one list
+of table positions, one per server per round, in round order. An honest
+query of file theta differs from its base only at theta, so honest
+positions are cut by rotated list slices, building and hashing no query;
+any other builder's queries are looked up in a map from query to
+position. Each fold's `close` reads the replies it needs in place, at
+the file's positions, a round's M at a time where it checks rounds. Each
+fold keeps only its sufficient statistic, with little Python work per
+round:
 
 * privacy sorts each server position's query positions, none at K = 1;
 * correctness compares `decode`'s packet list with the basis packets;
-* rate counts the file's non-silent rows;
-* conditions reads each round's rows and looks up its two GF(2)
-  verdicts by its wanted rows (one at K = 1, where no unwanted file reads
-  the other), so it eliminates only wanted rows it has not met before in
-  the walk.
+* rate counts the file's positions that are not silent in the table;
+* conditions reads each round's reply values and looks up its two
+  GF(2) verdicts by its wanted rows (one at K = 1, where no unwanted file
+  reads the other), so it eliminates only wanted rows it has not met
+  before in the walk.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -144,14 +142,13 @@ MAX_REALIZATIONS = 10**6  # walked queries one round walk may count or check
 
 def _check_bill(m: int, k: int) -> None:
     """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
-    MAX_REALIZATIONS, before the walk builds any list. The walk answers
-    only its M^K distinct queries and puts each round's M positions,
-    answers and rows in its file's lists. Per round, correctness decodes
-    once, which validates the round, and conditions runs at most two GF(2)
-    eliminations of at most M rows (one at K = 1), none for wanted rows it
-    met before, besides a few mask tests; privacy sorts the file's M*M^K
-    positions (none at K = 1), and rate counts its rows. M^64 alone
-    exceeds the budget for M >= 2, so the power stops there."""
+    MAX_REALIZATIONS, before the walk builds any list. The walk answers its
+    M^K distinct queries into one table the folds read in place. Per round,
+    correctness decodes once, which validates the round, and conditions
+    runs at most two GF(2) eliminations of at most M rows (one at K = 1),
+    none for wanted rows it met before, besides a few mask tests; privacy
+    sorts the file's M*M^K positions (none at K = 1), and rate counts them.
+    M^64 alone exceeds the budget for M >= 2, so the power stops there."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -212,25 +209,28 @@ def _builder_order(query_fn, theta: int, m: int, index: dict, basis: sfpir.Group
 
 def _walk(m: int, k: int, folds, query_fn=None) -> list:
     """Walk every round of one (M, K) group once, after checking its bill,
-    and return each fold's `finish()`. Each file goes to every fold's
-    `close(theta, m, positions, answers, rows)` once, file after file: its
-    positions in the table of the M^K answered queries, in round order, cut
-    by `_file_order` for the honest queries (`query_fn` None) or looked up
-    by `_builder_order` for the builder's, and the replies and rows there."""
+    and return each fold's `finish()`. The M^K queries are answered once,
+    into one table in `enumerate_realizations` order, which every fold's
+    `close(theta, m, positions, replies)` reads in place at each file's
+    positions, file after file, in round order: cut by `_file_order` for
+    honest queries (`query_fn` None), else looked up by `_builder_order`."""
     _check_bill(m, k)
     basis = _basis(m, k)
     replies = list(map(answer, enumerate_realizations(m, k), repeat(basis)))
-    rows = [reply.value for reply in replies]
     table = list(range(len(replies)))
     index = None if query_fn is None else dict(zip(enumerate_realizations(m, k), table))
     for theta in range(1, k + 1):
         positions = (_file_order(table, theta, m) if query_fn is None
                      else _builder_order(query_fn, theta, m, index, basis))
-        lists = positions, [replies[i] for i in positions], [rows[i] for i in positions]
         for fold in folds:
-            fold.close(theta, m, *lists)
-        del positions, lists  # hold one file's lists, not two while the next file's are cut
+            fold.close(theta, m, positions, replies)
+        del positions  # hold one file's positions, not two while the next file's are cut
     return [fold.finish() for fold in folds]
+
+
+def _rounds(m: int, k: int, positions: list, replies: list):
+    """One file's (base, M replies) rounds, read in place from the walk's table."""
+    return zip(enumerate_realizations(m, k), zip(*[map(replies.__getitem__, positions)] * m))
 
 
 class _Privacy:
@@ -250,7 +250,7 @@ class _Privacy:
         self.reference = []  # file 1's sorted positions per server position
         self.mismatches = []  # (position, file) whose view differs from file 1's
 
-    def close(self, theta, m, positions, answers, rows):
+    def close(self, theta, m, positions, replies):
         if theta == 1:
             if self.k > 1:
                 self.reference = [sorted(positions[pos::m]) for pos in range(m)]
@@ -311,10 +311,9 @@ class _Correctness:
                 violation = " (protocol violation)"
             self._fail(f"file {theta} mis-decoded at {where}base {base}{violation}")
 
-    def close(self, theta, m, positions, answers, rows):
-        self.runs += len(answers) // m
-        rounds = zip(enumerate_realizations(m, self.plan.k), zip(*[iter(answers)] * m))
-        self._decode(theta, rounds, self.wants[theta - 1])
+    def close(self, theta, m, positions, replies):
+        self.runs += len(positions) // m
+        self._decode(theta, _rounds(m, self.plan.k, positions, replies), self.wants[theta - 1])
 
     def finish(self) -> AuditCheck:
         plan, layout, library = self.plan, self.layout, self.library
@@ -358,15 +357,16 @@ class _Rate:
     L * (1 + 1/M + ... + 1/M^(K-1)) exactly, for every wanted file, with L
     the layout's file length. A group's download is its packet size times
     one (M, K) round's non-silent answers (see the module docstring).
-    `close` counts each file's non-silent replies on the one-hot basis
-    from the walk's rows, where silence is None."""
+    `close` counts each file's positions, less those of the silent replies
+    in the walk's one-hot table, each as often as the file sends it."""
 
     def __init__(self, layout: PacketLayout, k: int):
         self.layout, self.k = layout, k
         self.sent = Counter()
 
-    def close(self, theta, m, positions, answers, rows):
-        self.sent[theta] = len(rows) - rows.count(None)
+    def close(self, theta, m, positions, replies):
+        silent = [i for i, reply in enumerate(replies) if reply.value is None]
+        self.sent[theta] = len(positions) - sum(map(positions.count, silent))
 
     def finish(self) -> AuditCheck:
         layout, k = self.layout, self.k
@@ -439,9 +439,8 @@ class _Conditions:
     * the residual rows (all files except the wanted one and any one other
       file) are identical across all transmitted answers.
 
-    The rows are the answers' values on the one-hot basis, which the walk
-    reads once per distinct query; `close` regroups each file's rows into
-    rounds.
+    The rows are the replies' values on the one-hot basis, read in place
+    from the walk's one table at each round's M positions.
 
     Only the statistic that decides each verdict is eliminated. Where
     residual identity holds for the unwanted file o, every kept row is
@@ -482,14 +481,14 @@ class _Conditions:
         self.violations += 1
         self.first = self.first or (kind, theta, base)
 
-    def close(self, theta, m, positions, answers, rows):
+    def close(self, theta, m, positions, replies):
         own, loose, others = self.blocks[theta - 1], self.loose[theta - 1], self.others[theta - 1]
         known, fresh = self.verdicts, self.fresh
-        for base, replied in zip(enumerate_realizations(m, len(self.blocks)), zip(*[iter(rows)] * m)):
+        for base, replied in _rounds(m, len(self.blocks), positions, replies):
             sent, wanted = [], []
             union, common = 0, -1  # the bits some row has, and the bits every row has
-            for row in replied:
-                if row is not None:
+            for reply in replied:
+                if (row := reply.value) is not None:
                     sent.append(row)
                     wanted.append(row & own)
                     union |= row

@@ -489,13 +489,14 @@ def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
 
 
 class Recorder:
-    """A fold that keeps every `close` call, copying the walk's lists."""
+    """A fold that keeps every `close` call: a copy of the file's positions
+    and the walk's table of replies itself."""
 
     def __init__(self):
         self.closes = []
 
-    def close(self, theta, m, positions, answers, rows):
-        self.closes.append((theta, m, list(positions), list(answers), list(rows)))
+    def close(self, theta, m, positions, replies):
+        self.closes.append((theta, m, list(positions), replies))
 
     def finish(self):
         return self
@@ -504,17 +505,19 @@ class Recorder:
 def check_closes(closes, query_fn, m, k):
     """Each file reached `close` once, file after file, with the positions
     in `enumerate_realizations` order of the queries `query_fn` sends for
-    it, in round order, M per round, and the answers and rows of those
-    queries."""
+    it, in round order, M per round, and with the walk's one table of M^K
+    replies, whose entry at each of those positions answers its query."""
     assert [theta for theta, *_ in closes] == list(range(1, k + 1))
     basis = audit._basis(m, k)
     index = {q: i for i, q in enumerate(enumerate_realizations(m, k))}
-    for theta, got_m, positions, answers, rows in closes:
+    table = closes[0][3]
+    assert len(table) == m**k
+    for theta, got_m, positions, replies in closes:
         queries = [q for base in enumerate_realizations(m, k) for q in query_fn(theta, base, m)]
         assert got_m == m
+        assert replies is table
         assert positions == [index[q] for q in queries]
-        assert answers == [answer(q, basis) for q in queries]
-        assert rows == [a.value for a in answers]
+        assert [replies[i] for i in positions] == [answer(q, basis) for q in queries]
 
 
 @pytest.mark.parametrize("m, k", [(2, 3), (3, 2), (4, 1), (3, 3), (2, 5), (4, 3)])
@@ -533,9 +536,10 @@ def test_builder_route_hands_folds_the_positions_sent(query_fn):
 
 @settings(max_examples=6, deadline=None)
 @given(st.integers(2, 7), st.integers(1, 6))
-def test_table_and_memo_routes_hand_folds_equal_lists(m, k):
+def test_table_and_builder_routes_hand_folds_equal_lists(m, k):
     # the honest route and the builder route of an equal builder must
-    # close every file with equal lists, each answering every query once
+    # close every file with equal positions and tables, each answering
+    # every query once
     assume(k * m ** (k + 1) <= audit.MAX_REALIZATIONS)
     calls = 0
 
@@ -552,6 +556,22 @@ def test_table_and_memo_routes_hand_folds_equal_lists(m, k):
             closes.append(audit._walk(m, k, [Recorder()], query_fn)[0].closes)
             assert calls == m**k
     assert closes[0] == closes[1]
+
+
+@pytest.mark.parametrize("m, k", [(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_rate_count_over_builder_routes_matches_long_way(m, k):
+    # rate counts a file's positions less the table's silent ones, each as
+    # often as the file sends it: at M = 2 a duplicate shift sends the
+    # silent query to both servers of the round at base (1,)*K
+    layout, _, _ = build_instance(m + 1, m, k)
+    basis = audit._basis(m, k)
+    for query_fn in (make_queries, queries_missing_offset, queries_duplicate_shift, shifted_unwanted):
+        fold = audit._Rate(layout, k)
+        audit._walk(m, k, [fold], query_fn)
+        sent = {theta: sum(not answer(q, basis).silent
+                           for base in enumerate_realizations(m, k) for q in query_fn(theta, base, m))
+                for theta in range(1, k + 1)}
+        assert dict(fold.sent) == sent, query_fn.__name__
 
 
 def queries_one_short(theta, base, m):
