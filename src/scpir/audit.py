@@ -358,15 +358,19 @@ class _Rate:
     the layout's file length. A group's download is its packet size times
     one (M, K) round's non-silent answers (see the module docstring).
     `close` counts each file's positions, less those of the silent replies
-    in the walk's one-hot table, each as often as the file sends it."""
+    in the walk's one-hot table, each as often as the file sends it. Every
+    file reads the same table, so file 1 finds its silent positions once.
+    """
 
     def __init__(self, layout: PacketLayout, k: int):
         self.layout, self.k = layout, k
         self.sent = Counter()
+        self.silent = []  # the table's silent positions, found at file 1
 
     def close(self, theta, m, positions, replies):
-        silent = [i for i, reply in enumerate(replies) if reply.value is None]
-        self.sent[theta] = len(positions) - sum(map(positions.count, silent))
+        if theta == 1:
+            self.silent = [i for i, reply in enumerate(replies) if reply.value is None]
+        self.sent[theta] = len(positions) - sum(map(positions.count, self.silent))
 
     def finish(self) -> AuditCheck:
         layout, k = self.layout, self.k
@@ -390,19 +394,23 @@ def rate_audit(layout: PacketLayout, library: FileLibrary) -> AuditCheck:
 
 
 def storage_audit(plan: StoragePlan, layout: PacketLayout) -> AuditCheck:
-    """Placement and capacity are exact: every group (hence every packet)
-    sits on exactly M servers, and every server's stored symbol count is
-    exactly M*K*L/N, with N, M and L the layout's and K the plan's."""
+    """Placement and capacity are exact, read from the layout's regions,
+    which own placement: every region (hence every packet) sits on exactly
+    M distinct servers of 1..N, and every server's stored symbol count, K
+    times the bytes of the regions that hold it, is exactly M*K*L/N, with
+    N, M and L the layout's and K the plan's."""
     problems = []
-    holders = Counter(gi for stored in plan.per_server.values() for gi in set(stored))
-    for gi in range(len(layout.groups)):
-        if holders[gi] != layout.m:
-            problems.append(f"group {gi} stored on {holders[gi]} servers, expected {layout.m}")
+    used = dict.fromkeys(range(1, layout.n + 1), 0)
+    for gi, region in enumerate(layout.groups):
+        holders = used.keys() & region.servers
+        if len(holders) != layout.m or len(region.servers) != layout.m:
+            problems.append(f"group {gi} stored on servers {region.servers}, "
+                            f"expected {layout.m} distinct of 1..{layout.n}")
+        for server in holders:
+            used[server] += plan.k * region.group_bytes
     budget = Fraction(layout.m * plan.k * layout.file_len, layout.n)
-    for server in range(1, layout.n + 1):
-        used = plan.k * sum(layout.groups[gi].group_bytes for gi in plan.per_server.get(server, ()))
-        if used != budget:
-            problems.append(f"server {server} stores {used} symbols, expected {budget}")
+    problems += [f"server {server} stores {load} symbols, expected {budget}"
+                 for server, load in used.items() if load != budget]
     return AuditCheck(
         name="storage",
         passed=not problems,

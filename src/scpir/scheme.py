@@ -62,12 +62,11 @@ class PacketLayout:
 
 @dataclass(frozen=True)
 class StoragePlan:
-    """The per-server inventory of a `PacketLayout`, which owns N, M and L:
-    which groups each server stores, and the exact symbol count that costs
-    for K files, which always equals M*K*L/N."""
+    """What K files cost each server under a `PacketLayout`, which owns N,
+    M, L and which servers hold each region: capacity_used[s] is server
+    s's exact symbol count, which always equals M*K*L/N."""
 
     k: int
-    per_server: dict[int, tuple[int, ...]]
     capacity_used: dict[int, int]
 
 
@@ -117,8 +116,8 @@ MAX_LIBRARY_BYTES = 2**24
 
 
 def plan_storage(alpha: sda.AlphaAssignment, k: int, file_len: int):
-    """Turn a group-fraction assignment into a packet layout and a
-    per-server storage plan.
+    """Turn a group-fraction assignment into a packet layout and the
+    storage plan that prices it per server.
 
     Groups receive contiguous file regions in assignment order. alpha is
     valid by construction, whether it came from an array, an oracle
@@ -136,6 +135,7 @@ def plan_storage(alpha: sda.AlphaAssignment, k: int, file_len: int):
     g = gcd(n, m)
     groups = []
     offset = 0
+    capacity = dict.fromkeys(range(1, n + 1), 0)
     for servers, fraction in alpha.entries.items():
         # a region of multiplicity * gcd(N,M)/N of the file splits into M-1
         # packets of multiplicity * file_len/base symbols each; the
@@ -144,25 +144,12 @@ def plan_storage(alpha: sda.AlphaAssignment, k: int, file_len: int):
         if rest:
             raise ValueError(f"group {servers} fraction {fraction} is not a multiple of {g}/{n}")
         packet_bytes = multiplicity * (file_len // base)
-        groups.append(
-            GroupRegion(
-                servers=tuple(sorted(servers)),
-                group_bytes=packet_bytes * (m - 1),
-                packet_bytes=packet_bytes,
-                file_offset=offset,
-            )
-        )
-        offset += packet_bytes * (m - 1)
-    layout = PacketLayout(n, m, file_len, tuple(groups))
-
-    stored: dict[int, list[int]] = {server: [] for server in range(1, n + 1)}
-    capacity = dict.fromkeys(stored, 0)
-    for i, region in enumerate(groups):
-        for server in region.servers:
-            stored[server].append(i)
-            capacity[server] += k * region.group_bytes
-    per_server = {server: tuple(held) for server, held in stored.items()}
-    return layout, StoragePlan(k, per_server, capacity)
+        group_bytes = packet_bytes * (m - 1)
+        groups.append(GroupRegion(tuple(sorted(servers)), group_bytes, packet_bytes, offset))
+        offset += group_bytes
+        for server in servers:
+            capacity[server] += k * group_bytes
+    return PacketLayout(n, m, file_len, tuple(groups)), StoragePlan(k, capacity)
 
 
 def greedy_scheme(n: int, m: int, k: int, l_mult: int, seed: int):

@@ -26,13 +26,14 @@ Everything is pure and exact; alpha values are `fractions.Fraction`.
 
 Arrays and alphas are valid by construction: `StorageDesignArray` runs
 `validate` and `AlphaAssignment` runs `check` when made, so each fact is
-checked once, and every function that reads one trusts it.
+checked once, and every function that reads one trusts it. The column
+counts `validate` makes stay on the array as its `ColumnProfile`.
 """
 
 import re
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -44,14 +45,16 @@ Columns = tuple[tuple[int, ...], ...]
 class StorageDesignArray:
     """An (N, M) array as its column sequence: column_sets[j] is the sorted
     tuple of 1-based servers starred in column j. Construction raises
-    ValueError unless the array passes `validate`."""
+    ValueError unless the array passes `validate`, and keeps the column
+    counts `validate` made as the array's `profile`."""
 
     n: int
     m: int
     column_sets: Columns
+    profile: "ColumnProfile" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate(self)
+        object.__setattr__(self, "profile", validate(self))
 
     @property
     def columns(self) -> int:
@@ -127,11 +130,12 @@ def require_params(n: int, m: int) -> None:
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
 
 
-def validate(sda: StorageDesignArray) -> None:
+def validate(sda: StorageDesignArray) -> ColumnProfile:
     """Raise ValueError unless the array has N/gcd(N,M) columns, each a
     sorted tuple of exactly M distinct servers in 1..N, and stars every
     server in exactly M/gcd(N,M) columns. A star-count message names the
-    first violation."""
+    first violation. Returns the column counts it checked, as the array's
+    `ColumnProfile`."""
     require_params(sda.n, sda.m)
     g = gcd(sda.n, sda.m)
     if sda.columns != sda.n // g:
@@ -161,6 +165,7 @@ def validate(sda: StorageDesignArray) -> None:
         if stars[server] != per_row:
             problem = f"row {server} has {stars[server]} stars, expected {per_row}"
             raise ValueError(invalid + problem)
+    return ColumnProfile(sda.n, sda.m, tuple(counts), tuple(counts.values()))
 
 
 def _int_tuple(column) -> bool:
@@ -169,9 +174,8 @@ def _int_tuple(column) -> bool:
 
 def column_profile(sda: StorageDesignArray) -> ColumnProfile:
     """Distinct columns (as 1-based server subsets) in first-occurrence
-    order."""
-    counts = Counter(sda.column_sets)
-    return ColumnProfile(sda.n, sda.m, tuple(counts), tuple(counts.values()))
+    order, counted once, when the array was made."""
+    return sda.profile
 
 
 def alpha_from_profile(profile: ColumnProfile) -> AlphaAssignment:

@@ -14,10 +14,11 @@ the M-1 wanted packets.
 Inside a round a packet is one little-endian int. Every coefficient is 0
 or 1 over the order-256 field, whose addition is bytewise XOR, so every
 answer and every decoded packet is an int XOR of whole packets. A group's
-storage reads each packet into an int once when it is built, answers
-carry an int and the packet size, and `decode` turns each decoded packet
-back into bytes once. Widths always come from the packet size, never from
-an int's bit length, so zero bytes at either end survive.
+storage holds each packet once, as the bytes it was given; `answer` reads
+into an int only the packets its query names, replies carry an int and
+the packet size, and `decode` turns each decoded packet back into bytes
+once. Widths always come from the packet size, never from an int's bit
+length, so zero bytes at either end survive.
 
 Servers never see the wanted index: `answer` takes only the query and the
 stored packets. Download cost varies by realization; over all M^K base
@@ -93,18 +94,15 @@ SILENT = Answer(None)
 class GroupStorage:
     """K x (M-1) packet grid held by every server of one group.
 
-    packets[k][i] is packet i of file k+1; all packets have equal length.
-    Packets are bytes-like: `scheme.group_storage` hands out memoryview
-    slices of the library rather than copies. Building the grid reads each
-    packet once into values[k][i], a little-endian int, and keeps the
-    common length as `size` (0 when there are no packets); `answer` reads
-    only those. The virtual packet at index M-1 is represented by its
-    absence.
+    packets[k][i] is packet i of file k+1; all packets have equal length,
+    kept as `size` (0 when there are no packets). Packets are bytes-like:
+    `scheme.group_storage` hands out memoryview slices of the library
+    rather than copies, and `answer` reads each packet it needs in place.
+    The virtual packet at index M-1 is represented by its absence.
     """
 
     m: int
     packets: tuple[tuple[bytes | memoryview, ...], ...]
-    values: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,9 +114,6 @@ class GroupStorage:
         if len(lengths) > 1:
             raise ValueError("packets in one group must have equal length")
         object.__setattr__(self, "size", lengths.pop() if lengths else 0)
-        object.__setattr__(self, "values", tuple(
-            tuple(int.from_bytes(p, "little") for p in row) for row in self.packets
-        ))
 
     @property
     def k(self) -> int:
@@ -166,19 +161,19 @@ def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, .
 
 def answer(query: tuple[int, ...], storage: GroupStorage) -> Answer:
     """A server's reply to one query; independent of which file is wanted.
-    It XORs the stored ints its query points at."""
+    It XORs, as little-endian ints, the stored packets its query points at."""
     m = storage.m
     if not _in_range(query, m):  # an empty query passes, and is left to the K check
         raise ValueError(f"query {query} has entries outside 0..{m - 1}")
-    if len(query) != len(storage.values):
+    if len(query) != len(storage.packets):
         raise ValueError(f"query length {len(query)} != K={storage.k}")
     virtual = m - 1
     if query.count(virtual) == len(query):
         return SILENT
     value = 0
-    for row, q in zip(storage.values, query):
+    for row, q in zip(storage.packets, query):
         if q != virtual:
-            value ^= row[q]
+            value ^= int.from_bytes(row[q], "little")
     return Answer(value, storage.size)
 
 

@@ -262,31 +262,39 @@ class TestStorageAudit:
                 layout, plan, _ = build_instance(n, m, 2)
                 assert storage_audit(plan, layout).passed, (n, m)
 
+    @staticmethod
+    def with_servers(layout, gi, servers):
+        """The layout with region gi held by `servers` instead."""
+        groups = list(layout.groups)
+        groups[gi] = dataclasses.replace(groups[gi], servers=servers)
+        return dataclasses.replace(layout, groups=tuple(groups))
+
     def test_extra_holder_breaks_placement(self):
         layout, plan, _ = build_instance(9, 4, 2)
-        outsider = next(
-            s for s in range(1, 10) if 0 not in plan.per_server[s]
-        )
-        per = dict(plan.per_server)
-        per[outsider] = per[outsider] + (0,)
-        bad = dataclasses.replace(plan, per_server=per)
-        check = storage_audit(bad, layout)
+        servers = layout.groups[0].servers
+        outsider = next(s for s in range(1, 10) if s not in servers)
+        check = storage_audit(plan, self.with_servers(layout, 0, servers + (outsider,)))
         assert not check.passed
         assert "group 0" in check.detail
 
     def test_capacity_swap_breaks_budget(self):
-        # move one group between servers: placement counts stay M but two
-        # servers now sit off the exact budget
+        # hand one server's share of a group to another: placement counts
+        # stay M but two servers now sit off the exact budget
         layout, plan, _ = build_instance(9, 4, 2)
-        donor = next(s for s in range(1, 10) if 1 in plan.per_server[s])
-        taker = next(s for s in range(1, 10) if 1 not in plan.per_server[s])
-        per = dict(plan.per_server)
-        per[donor] = tuple(g for g in per[donor] if g != 1)
-        per[taker] = per[taker] + (1,)
-        bad = dataclasses.replace(plan, per_server=per)
-        check = storage_audit(bad, layout)
+        servers = layout.groups[1].servers
+        taker = next(s for s in range(1, 10) if s not in servers)
+        check = storage_audit(plan, self.with_servers(layout, 1, servers[1:] + (taker,)))
         assert not check.passed
+        assert "group" not in check.detail
         assert "symbols" in check.detail
+
+    def test_server_named_twice_breaks_placement(self):
+        # the region still names M servers, and the plan is left as built
+        layout, plan, _ = build_instance(9, 4, 2)
+        servers = layout.groups[2].servers
+        check = storage_audit(plan, self.with_servers(layout, 2, servers[:1] + servers[:-1]))
+        assert not check.passed
+        assert "group 2" in check.detail
 
 
 @st.composite

@@ -57,9 +57,9 @@ class TestPlanStorage:
         assert [g.file_offset for g in layout.groups] == [0, 20, 28, 36, 40, 44]
         # every server's budget is exactly M*K*L/N = 5*2*48/12
         assert all(v == Fraction(40) for v in plan.capacity_used.values())
-        for gi in range(6):
-            holders = [s for s, stored in plan.per_server.items() if gi in stored]
-            assert len(holders) == 5
+        for region in layout.groups:
+            assert len(set(region.servers)) == len(region.servers) == 5
+            assert set(region.servers) <= set(range(1, 13))
 
     def test_rejects_off_granularity_lengths(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,11 @@ class TestColumnProfile:
     def test_greedy_12_5(self):
         assert sda.column_profile(sda.build_greedy(12, 5)).eta == 6
 
+    def test_counted_once_when_made(self, monkeypatch):
+        array = sda.build_greedy(12, 5)
+        monkeypatch.setattr(sda, "Counter", None)  # a recount would call it
+        assert sda.column_profile(array) is array.profile
+
 
 class TestAlphaAssignment:
     def test_9_4_values(self):
