@@ -12,12 +12,14 @@ Two questions are answered exactly on desk-scale instances:
 (uncoded storage-constrained PIR) and Woolsey-Chen-Ji (storage-constrained
 PIR designs). Every candidate support is decided by an exact integer
 feasibility kernel: measured in units of 1/N, the per-server budget M/N is
-the integer M, so unit propagation runs on integers and the phase-1
-simplex under Bland's rule is fraction-free (Bareiss, Math. Comp. 1968).
-`Fraction` appears only in the returned witness, and the results are
-certificates, not estimates. The candidates are a canonical family that
-meets every relabeling orbit of supports; that is sound because of two
-symmetries of the per-server equalities sum_{s ∋ i} alpha_s = M/N:
+the integer M, so unit propagation runs on integers, over bitmasks of the
+groups through each server, and the phase-1 simplex under Bland's rule is
+fraction-free (Bareiss, Math. Comp. 1968). `Fraction` appears only in the
+returned witness, and the results are certificates, not estimates. The
+candidates are a canonical family that meets every relabeling orbit of
+supports, drawn depth-first with each prefix's server union carried as a
+bitmask; that is sound because of two symmetries of the per-server
+equalities sum_{s ∋ i} alpha_s = M/N:
 
 * Relabeling. Permuting server labels maps feasible supports to feasible
   supports, so every feasible support has an image that contains [M] and,
@@ -61,29 +63,39 @@ def _propagate(subsets: list[Subset], n: int, side: int):
     and remaining[i] is server i+1's still-unassigned budget; returns None
     when a contradiction is reached. Only forced deductions are made, so
     the reduced system is equivalent to the original.
+
+    Groups are bits: covers[i] has bit j set when group j holds server i+1,
+    and `undecided` has the bits of the groups whose alpha is still None,
+    so a server's live groups are one AND and a forced group is a live mask
+    with one bit set.
     """
     alpha: list[int | None] = [None] * len(subsets)
     remaining = [side] * n
-    covers: list[list[int]] = [[] for _ in range(n)]
+    covers = [0] * n
     for j, s in enumerate(subsets):
         for server in s:
-            covers[server - 1].append(j)
+            covers[server - 1] |= 1 << j
+    undecided = (1 << len(subsets)) - 1
     progress = True
     while progress:
         progress = False
-        for i in range(n):
-            live = [j for j in covers[i] if alpha[j] is None]
+        for i, cover in enumerate(covers):
+            live = cover & undecided
             if not live:
                 if remaining[i] != 0:
                     return None
                 continue
             if remaining[i] == 0:
                 # exhausted server: every remaining group through it is forced to 0
-                for j in live:
-                    alpha[j] = 0
+                undecided &= ~live
+                while live:
+                    low = live & -live
+                    alpha[low.bit_length() - 1] = 0
+                    live ^= low
                 progress = True
-            elif len(live) == 1:
-                j = live[0]
+            elif live & (live - 1) == 0:
+                undecided &= ~live
+                j = live.bit_length() - 1
                 value = remaining[i]
                 alpha[j] = value
                 for server in subsets[j]:
@@ -223,6 +235,14 @@ def _canonical_supports(n: int, m: int, size: int):
     to max(0, 2M-N), and the other `size` - 2 groups are drawn only from
     groups meeting [M] in at most j servers. Supports missing a server are
     skipped, since unit propagation rejects them anyway.
+
+    The draw walks the pool depth-first in `combinations` order, carrying
+    each prefix's union of server bitmasks, so the last pick's coverage test
+    is one AND with the servers its prefix leaves uncovered. A prefix is
+    dropped whole when its uncovered servers outnumber the M per pick that
+    its remaining picks can add: every completion of it would miss a
+    server. So the candidates and their order are those of `combinations`
+    filtered by coverage.
     """
     universe = list(combinations(range(1, n + 1), m))
     if m == n:
@@ -235,13 +255,23 @@ def _canonical_supports(n: int, m: int, size: int):
     for j in range(m - 1, max(0, 2 * m - n) - 1, -1):
         second = tuple(range(1, j + 1)) + tuple(range(m + 1, 2 * m - j + 1))
         pool = [s for s in universe if s != second and sum(i <= m for i in s) <= j]
-        base = mask[first] | mask[second]
-        for rest in combinations(pool, size - 2):
-            covered = base
-            for s in rest:
-                covered |= mask[s]
-            if covered == full:
-                yield [first, second, *rest]
+        masks = [mask[s] for s in pool]
+
+        def extend(start: int, covered: int, left: int, picked: list[Subset]):
+            uncovered = full & ~covered
+            if uncovered.bit_count() > left * m:
+                return  # each pick covers at most M more servers
+            if left == 0:
+                yield picked
+            elif left == 1:  # the last pick must cover every uncovered server
+                for k in range(start, len(pool)):
+                    if masks[k] & uncovered == uncovered:
+                        yield [*picked, pool[k]]
+            else:
+                for k in range(start, len(pool) - left + 1):
+                    yield from extend(k + 1, covered | masks[k], left - 1, [*picked, pool[k]])
+
+        yield from extend(0, mask[first] | mask[second], size - 2, [first, second])
 
 
 def min_eta_star(n: int, m: int):

@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,88 @@ def reference_eta_star(n, m):
     for size in range(1, len(universe) + 1):
         if any(lp_feasible(c, n, m) is not None for c in combinations(universe, size)):
             return size
+
+
+def reference_propagate(subsets, n, side):
+    """Unit propagation the long way, with per-server lists of group
+    indices rebuilt on every pass: the kernel `oracle._propagate` must
+    return the same (alpha, remaining), or None, on every support."""
+    alpha = [None] * len(subsets)
+    remaining = [side] * n
+    covers = [[] for _ in range(n)]
+    for j, s in enumerate(subsets):
+        for server in s:
+            covers[server - 1].append(j)
+    progress = True
+    while progress:
+        progress = False
+        for i in range(n):
+            live = [j for j in covers[i] if alpha[j] is None]
+            if not live:
+                if remaining[i] != 0:
+                    return None
+                continue
+            if remaining[i] == 0:
+                for j in live:
+                    alpha[j] = 0
+                progress = True
+            elif len(live) == 1:
+                j = live[0]
+                value = remaining[i]
+                alpha[j] = value
+                for server in subsets[j]:
+                    remaining[server - 1] -= value
+                    if remaining[server - 1] < 0:
+                        return None
+                progress = True
+    return alpha, remaining
+
+
+def reference_canonical_supports(n, m, size):
+    """The canonical candidates the long way: every `combinations` draw of
+    the other groups, each OR-ed up from scratch and kept when it covers
+    every server. `oracle._canonical_supports` must yield the same lists
+    in the same order."""
+    universe = list(combinations(range(1, n + 1), m))
+    if m == n:
+        if size == 1:
+            yield universe
+        return
+    first = universe[0]
+    full = (1 << n) - 1
+    mask = {s: sum(1 << (i - 1) for i in s) for s in universe}
+    for j in range(m - 1, max(0, 2 * m - n) - 1, -1):
+        second = tuple(range(1, j + 1)) + tuple(range(m + 1, 2 * m - j + 1))
+        pool = [s for s in universe if s != second and sum(i <= m for i in s) <= j]
+        base = mask[first] | mask[second]
+        for rest in combinations(pool, size - 2):
+            covered = base
+            for s in rest:
+                covered |= mask[s]
+            if covered == full:
+                yield [first, second, *rest]
+
+
+class TestBitmaskKernels:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_propagate_matches_list_reference(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        side = data.draw(st.integers(1, n), label="side")
+        universe = list(combinations(range(1, n + 1), side))
+        groups = st.lists(st.sampled_from(universe), min_size=1, max_size=12, unique=True)
+        support = data.draw(groups, label="support")
+        assert oracle._propagate(support, n, side) == reference_propagate(support, n, side)
+        with mock.patch.object(oracle, "_propagate", reference_propagate):
+            expected = oracle._solve_support(support, n, side)
+        assert oracle._solve_support(support, n, side) == expected
+
+    def test_canonical_supports_match_itertools_reference(self):
+        for n in range(3, oracle.MAX_SERVERS + 1):
+            for m in range(2, n):
+                for size in range(2, 6):
+                    got = list(oracle._canonical_supports(n, m, size))
+                    assert got == list(reference_canonical_supports(n, m, size)), (n, m, size)
 
 
 class TestLpFeasible:
