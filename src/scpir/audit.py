@@ -32,7 +32,7 @@ their K*M^(K+1) queries are over MAX_REALIZATIONS. Each round is validated
 once, by `decode`.
 
 The rounds hold only M^K distinct queries. The walk answers each once
-(once per `run_full_audit` too, whose four folds share one walk) into
+(once per audited scheme too: `run_full_audit`'s four folds share it) into
 one table of replies, in `enumerate_realizations` order. A query and its
 position in that order determine each other, so each file is one list
 of table positions, one per server per round, in round order. An honest
@@ -71,8 +71,6 @@ from .scheme import (
     PacketLayout,
     StoragePlan,
     average_download,
-    greedy_scheme,
-    require_retrieval_params,
     retrieve,
 )
 from .sfpir import ProtocolViolation, answer, decode, enumerate_realizations, make_queries
@@ -140,15 +138,15 @@ def queries_duplicate_shift(theta: int, base: tuple[int, ...], m: int) -> list[t
 MAX_REALIZATIONS = 10**6  # walked queries one round walk may count or check
 
 
-def _check_bill(m: int, k: int) -> None:
+def check_bill(m: int, k: int) -> None:
     """Refuse a round walk whose bill, K*M^(K+1) walked queries, is over
-    MAX_REALIZATIONS, before the walk builds any list. The walk answers its
-    M^K distinct queries into one table the folds read in place. Per round,
-    correctness decodes once, which validates the round, and conditions
-    runs at most two GF(2) eliminations of at most M rows (one at K = 1),
-    none for wanted rows it met before, besides a few mask tests; privacy
-    sorts the file's M*M^K positions (none at K = 1), and rate counts them.
-    M^64 alone exceeds the budget for M >= 2, so the power stops there."""
+    MAX_REALIZATIONS; `cli` calls it before building the scheme, `_walk`
+    before building any list. The walk answers M^K distinct queries into one
+    table the folds read in place. Per round, correctness decodes once (which
+    validates the round), conditions runs at most two GF(2) eliminations of
+    at most M rows (one at K = 1), none for wanted rows it met before;
+    privacy sorts the file's M*M^K positions (none at K = 1), rate counts
+    them. M^64 alone exceeds the budget for M >= 2, so the power stops there."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -214,7 +212,7 @@ def _walk(m: int, k: int, folds, query_fn=None) -> list:
     `close(theta, m, positions, replies)` reads in place at each file's
     positions, file after file, in round order: cut by `_file_order` for
     honest queries (`query_fn` None), else looked up by `_builder_order`."""
-    _check_bill(m, k)
+    check_bill(m, k)
     basis = _basis(m, k)
     replies = list(map(answer, enumerate_realizations(m, k), repeat(basis)))
     table = list(range(len(replies)))
@@ -592,15 +590,13 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
     return checks
 
 
-def run_full_audit(n: int, m: int, k: int, seed: int = 0) -> AuditReport:
-    """Run every audit on the greedy scheme for (N, M, K) at minimal length,
-    refusing bad (N, M), out-of-scope (M, K), over-budget walks and then
-    oversized retrievals (`scheme.greedy_scheme`) before building it."""
-    sda.require_params(n, m)
-    require_retrieval_params(m, k)
-    _check_bill(m, k)
-    layout, plan, library = greedy_scheme(n, m, k, 1, seed)
+def run_full_audit(layout: PacketLayout, plan: StoragePlan, library: FileLibrary) -> AuditReport:
+    """Run every audit on the scheme given, from `scheme.plan_storage` on
+    any array or group fractions: storage, the four round folds over one
+    walk (refused by `check_bill` first) and the constructions'
+    sub-packetization at the layout's (N, M), with K the plan's."""
+    m, k = layout.m, plan.k
     folds = [_Privacy(k), _Correctness(plan, layout, library, _as_sent),
              _Rate(layout, k), _Conditions(m, k)]
     return AuditReport([storage_audit(plan, layout), *_walk(m, k, folds),
-                        *subpacketization_audit(n, m)])
+                        *subpacketization_audit(layout.n, m)])

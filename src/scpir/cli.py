@@ -14,7 +14,7 @@ from contextlib import nullcontext
 from functools import cache
 
 from . import sda
-from .audit import run_full_audit
+from .audit import check_bill, run_full_audit
 from .scheme import RetrievalTranscript, greedy_scheme, require_retrieval_params, retrieve
 from .sfpir import random_base_vector
 
@@ -69,7 +69,7 @@ def transcript_record(n: int, m: int, k: int, transcript: RetrievalTranscript, m
 
 
 def cmd_simulate(args) -> int:
-    sda.require_params(args.n, args.m)  # refuse in the order `audit` uses
+    sda.require_params(args.n, args.m)  # refuse in the order `cmd_audit` uses
     require_retrieval_params(args.m, args.k)
     if args.theta < 1 or args.theta > args.k:
         raise ValueError(f"theta must be in 1..{args.k} (indices are 1-based)")
@@ -87,7 +87,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    report = run_full_audit(args.n, args.m, args.k, seed=args.seed)
+    sda.require_params(args.n, args.m)  # refuse in the order `cmd_simulate` uses
+    require_retrieval_params(args.m, args.k)
+    check_bill(args.m, args.k)  # where `cmd_simulate` checks theta and l-mult
+    report = run_full_audit(*greedy_scheme(args.n, args.m, args.k, 1, args.seed))
     print(report.table())
     return 0 if report.overall else 1
 

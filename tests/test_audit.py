@@ -27,6 +27,7 @@ from scpir.cli import ANALYZE_HEADER, analysis_row
 from scpir.oracle import min_eta_star
 from scpir.scheme import (
     average_download,
+    greedy_scheme,
     minimal_length,
     plan_storage,
     random_library,
@@ -132,19 +133,13 @@ def test_any_sda_passes_the_protocol_audits(drawn):
     # the paper's claim: any SDA gives a capacity-achieving scheme
     n, m, columns, k = drawn
     array = sda.StorageDesignArray(n, m, columns)
-    layout, plan, library = build_instance(n, m, k, build=lambda n, m: array)
-    checks = [
-        storage_audit(plan, layout),
-        privacy_audit(layout, library),
-        correctness_audit(plan, layout, library),
-        rate_audit(layout, library),
-    ]
-    assert [c.name for c in checks if not c.passed] == []
+    report = run_full_audit(*build_instance(n, m, k, build=lambda n, m: array))
+    assert report.overall, report.table()
 
 
 def test_audits_hold_on_oracle_witnesses():
     """Every eta* witness with N <= 8 is planned at minimal length with
-    exactly eta* groups, and the scheme it gives passes the audits."""
+    exactly eta* groups, and the scheme it gives passes the full audit."""
     for n in range(2, 9):
         for m in range(2, n + 1):
             eta, witness = min_eta_star(n, m)
@@ -152,13 +147,18 @@ def test_audits_hold_on_oracle_witnesses():
             layout, plan = plan_storage(sda.AlphaAssignment(n, m, witness), 2, file_len)
             library = random_library(2, file_len, seed=n * 10 + m)
             assert len(layout.groups) == eta, (n, m)
-            checks = [
-                storage_audit(plan, layout),
-                privacy_audit(layout, library),
-                correctness_audit(plan, layout, library),
-                rate_audit(layout, library),
-            ]
-            assert [c.name for c in checks if not c.passed] == [], (n, m)
+            report = run_full_audit(layout, plan, library)
+            assert report.overall, (n, m, report.table())
+
+
+@pytest.mark.parametrize("n, m", [(9, 4), (11, 5), (13, 4)])
+def test_full_audit_passes_on_improved_schemes(n, m):
+    # the improved array has fewer groups than greedy's, and its scheme
+    # passes every audit
+    layout, plan, library = build_instance(n, m, 3, build=sda.build_improved)
+    assert len(layout.groups) < sda.eta_recursion(n, m)
+    report = run_full_audit(layout, plan, library)
+    assert report.overall, report.table()
 
 
 class TestCorrectnessAudit:
@@ -483,7 +483,7 @@ def test_round_audits_answer_each_distinct_query_once(monkeypatch, m, k):
 def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
     # privacy, correctness, rate and conditions share one walk, so the
     # M^K distinct queries are answered once in all
-    plain = run_full_audit(n, m, k).table()
+    plain = run_full_audit(*greedy_scheme(n, m, k, 1, 0)).table()
     calls = 0
 
     def counted(query, storage):
@@ -492,7 +492,7 @@ def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
         return answer(query, storage)
 
     monkeypatch.setattr("scpir.audit.answer", counted)
-    assert run_full_audit(n, m, k).table() == plain
+    assert run_full_audit(*greedy_scheme(n, m, k, 1, 0)).table() == plain
     assert calls == m**k
 
 
@@ -787,8 +787,8 @@ def test_closed_forms_match_built_arrays_to_300(params):
 
 class TestFullAudit:
     def test_overall_pass_and_determinism(self):
-        first = run_full_audit(9, 4, 2, seed=3)
-        second = run_full_audit(9, 4, 2, seed=3)
+        first = run_full_audit(*greedy_scheme(9, 4, 2, 1, 3))
+        second = run_full_audit(*greedy_scheme(9, 4, 2, 1, 3))
         assert first.overall
         assert first.table() == second.table()
 
@@ -814,9 +814,5 @@ class TestFullAudit:
     )
     def test_table_is_pinned(self, n, m, k, digest):
         # every byte of the report, measured values and details included
-        table = run_full_audit(n, m, k, seed=1).table()
+        table = run_full_audit(*greedy_scheme(n, m, k, 1, 1)).table()
         assert hashlib.sha256(table.encode()).hexdigest() == digest
-
-    def test_rejects_single_server_budget(self):
-        with pytest.raises(ValueError):
-            run_full_audit(5, 1, 2)

@@ -229,6 +229,7 @@ class TestAudit:
             (9, 4, 9, "over the budget"),
             (5, 0, 2, "need 1 <= M <= N"),
             (3, 4, 2, "need 1 <= M <= N"),
+            (3, 4, 20, "need 1 <= M <= N"),  # (N, M) refused before the walk's bill
             (0, 2, 2, "need 1 <= M <= N"),
         ],
     )
