@@ -15,7 +15,8 @@ from functools import cache
 
 from . import sda
 from .audit import check_bill, run_full_audit
-from .scheme import RetrievalTranscript, greedy_scheme, require_retrieval_params, retrieve
+from .scheme import (RetrievalTranscript, minimal_length, plan_storage, random_library,
+                     require_retrieval_params, retrieve)
 from .sfpir import random_base_vector
 
 ANALYZE_HEADER = (
@@ -28,6 +29,15 @@ _BUILDERS = {
     "greedy": sda.build_greedy,
     "improved": sda.build_improved,
 }
+
+
+# One retrieval over the greedy (N, M) array runs eta_recursion(N, M) rounds of
+# M queries of K symbols on a K x L-byte library. Whole `scpir simulate` runs
+# (Python 3.11, shared 2-CPU host) cost about 4.6 KB per round at M = 2, K = 1,
+# the dearest shape per query symbol, and about three times the library bytes:
+# (32768, 2, 1) with --l-mult 1024 meets both bounds and took 1.8 s and 143 MiB.
+MAX_ROUND_SYMBOLS = 2**15
+MAX_LIBRARY_BYTES = 2**24
 
 
 def _output(out: str | None):
@@ -68,12 +78,30 @@ def transcript_record(n: int, m: int, k: int, transcript: RetrievalTranscript, m
     }
 
 
+def _scheme(n: int, m: int, k: int, l_mult: int, seed: int):
+    """(layout, plan, library) over the greedy (N, M) array with K seeded files
+    of l_mult minimal lengths, once (N, M), M and K are refused. Refuses l_mult < 1,
+    then MAX_ROUND_SYMBOLS or MAX_LIBRARY_BYTES exceeded, before building."""
+    if l_mult < 1:
+        raise ValueError("l-mult must be a positive integer")
+    symbols = sda.eta_recursion(n, m) * m * k
+    file_len = l_mult * minimal_length(n, m)
+    library = k * file_len
+    if symbols > MAX_ROUND_SYMBOLS or library > MAX_LIBRARY_BYTES:
+        raise ValueError(
+            f"a retrieval over ({n}, {m}) with K={k} sends {symbols} query symbols and draws a "
+            f"{library}-byte library; the bounds are {MAX_ROUND_SYMBOLS} and {MAX_LIBRARY_BYTES}"
+        )
+    layout, plan = plan_storage(sda.alpha_from_profile(sda.build_greedy(n, m).profile), k, file_len)
+    return layout, plan, random_library(k, file_len, seed)
+
+
 def cmd_simulate(args) -> int:
     sda.require_params(args.n, args.m)  # refuse in the order `cmd_audit` uses
     require_retrieval_params(args.m, args.k)
     if args.theta < 1 or args.theta > args.k:
         raise ValueError(f"theta must be in 1..{args.k} (indices are 1-based)")
-    layout, plan, library = greedy_scheme(args.n, args.m, args.k, args.l_mult, args.seed)
+    layout, plan, library = _scheme(args.n, args.m, args.k, args.l_mult, args.seed)
     rng = random.Random(args.seed + 1)  # independent of the library contents
     bases = [random_base_vector(rng, args.m, args.k) for _ in layout.groups]
     transcript = retrieve(args.theta, plan, layout, library, bases)
@@ -90,7 +118,7 @@ def cmd_audit(args) -> int:
     sda.require_params(args.n, args.m)  # refuse in the order `cmd_simulate` uses
     require_retrieval_params(args.m, args.k)
     check_bill(args.m, args.k)  # where `cmd_simulate` checks theta and l-mult
-    report = run_full_audit(*greedy_scheme(args.n, args.m, args.k, 1, args.seed))
+    report = run_full_audit(*_scheme(args.n, args.m, args.k, 1, args.seed))
     print(report.table())
     return 0 if report.overall else 1
 

@@ -5,7 +5,6 @@ of the storage design array, sized by that group's fraction; the region
 is further split into M-1 equal packets and replicated on the group's M
 servers. Retrieval runs one independent storage-full instance per group
 and concatenates the decoded regions. All cost accounting is exact.
-`greedy_scheme` alone builds and prices the scheme `simulate` and `audit` run.
 
 File lengths must be multiples of N*(M-1)/gcd(N,M) symbols: every group
 fraction is a multiple of gcd(N,M)/N and every region splits M-1 ways, so
@@ -106,15 +105,6 @@ def require_retrieval_params(m: int, k: int) -> None:
         raise ValueError(f"need at least one file, got K={k}")
 
 
-# One retrieval over the greedy (N, M) array runs eta_recursion(N, M) rounds of
-# M queries of K symbols on a K x L-byte library. Whole `scpir simulate` runs
-# (Python 3.11, shared 2-CPU host) cost about 4.6 KB per round at M = 2, K = 1,
-# the dearest shape per query symbol, and about three times the library bytes:
-# (32768, 2, 1) with --l-mult 1024 meets both bounds and took 1.8 s and 143 MiB.
-MAX_ROUND_SYMBOLS = 2**15
-MAX_LIBRARY_BYTES = 2**24
-
-
 def plan_storage(alpha: sda.AlphaAssignment, k: int, file_len: int):
     """Turn a group-fraction assignment into a packet layout and the
     storage plan that prices it per server.
@@ -152,29 +142,6 @@ def plan_storage(alpha: sda.AlphaAssignment, k: int, file_len: int):
     return PacketLayout(n, m, file_len, tuple(groups)), StoragePlan(k, capacity)
 
 
-def greedy_scheme(n: int, m: int, k: int, l_mult: int, seed: int):
-    """(layout, plan, library) over the greedy (N, M) array, with K seeded
-    files of l_mult minimal lengths. Refuses from closed forms, before
-    building, in this order: bad (N, M), M < 2 or K < 1, an l_mult that is
-    not a positive integer, then more than MAX_ROUND_SYMBOLS query symbols
-    (groups * M * K) or MAX_LIBRARY_BYTES."""
-    sda.require_params(n, m)
-    require_retrieval_params(m, k)
-    if not isinstance(l_mult, int) or l_mult < 1:
-        raise ValueError("l-mult must be a positive integer")
-    symbols = sda.eta_recursion(n, m) * m * k
-    file_len = l_mult * minimal_length(n, m)
-    library = k * file_len
-    if symbols > MAX_ROUND_SYMBOLS or library > MAX_LIBRARY_BYTES:
-        raise ValueError(
-            f"a retrieval over ({n}, {m}) with K={k} sends {symbols} query symbols and draws a "
-            f"{library}-byte library; the bounds are {MAX_ROUND_SYMBOLS} and {MAX_LIBRARY_BYTES}"
-        )
-    alpha = sda.alpha_from_profile(sda.column_profile(sda.build_greedy(n, m)))
-    layout, plan = plan_storage(alpha, k, file_len)
-    return layout, plan, random_library(k, file_len, seed)
-
-
 def group_storage(layout: PacketLayout, group: int, library: FileLibrary) -> GroupStorage:
     """The K x (M-1) packet grid every server of one group holds, as
     zero-copy memoryview slices of the library's files."""
@@ -207,6 +174,9 @@ def retrieve(
         raise ValueError(f"theta={theta} out of range 1..{plan.k}")
     if len(base_vectors) != len(layout.groups):
         raise ValueError(f"need one base vector per group ({len(layout.groups)})")
+    if (library.k_files, library.file_len) != (plan.k, layout.file_len):
+        raise ValueError(f"a library of {library.k_files} files of {library.file_len} symbols "
+                         f"does not match K={plan.k} and L={layout.file_len}")
     rounds = []
     segments = []
     downloaded = 0

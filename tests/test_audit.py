@@ -27,7 +27,6 @@ from scpir.cli import ANALYZE_HEADER, analysis_row
 from scpir.oracle import min_eta_star
 from scpir.scheme import (
     average_download,
-    greedy_scheme,
     minimal_length,
     plan_storage,
     random_library,
@@ -483,7 +482,7 @@ def test_round_audits_answer_each_distinct_query_once(monkeypatch, m, k):
 def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
     # privacy, correctness, rate and conditions share one walk, so the
     # M^K distinct queries are answered once in all
-    plain = run_full_audit(*greedy_scheme(n, m, k, 1, 0)).table()
+    plain = run_full_audit(*build_instance(n, m, k, 0)).table()
     calls = 0
 
     def counted(query, storage):
@@ -492,7 +491,7 @@ def test_full_audit_answers_each_distinct_query_once(monkeypatch, n, m, k):
         return answer(query, storage)
 
     monkeypatch.setattr("scpir.audit.answer", counted)
-    assert run_full_audit(*greedy_scheme(n, m, k, 1, 0)).table() == plain
+    assert run_full_audit(*build_instance(n, m, k, 0)).table() == plain
     assert calls == m**k
 
 
@@ -787,8 +786,8 @@ def test_closed_forms_match_built_arrays_to_300(params):
 
 class TestFullAudit:
     def test_overall_pass_and_determinism(self):
-        first = run_full_audit(*greedy_scheme(9, 4, 2, 1, 3))
-        second = run_full_audit(*greedy_scheme(9, 4, 2, 1, 3))
+        first = run_full_audit(*build_instance(9, 4, 2, 3))
+        second = run_full_audit(*build_instance(9, 4, 2, 3))
         assert first.overall
         assert first.table() == second.table()
 
@@ -814,5 +813,5 @@ class TestFullAudit:
     )
     def test_table_is_pinned(self, n, m, k, digest):
         # every byte of the report, measured values and details included
-        table = run_full_audit(*greedy_scheme(n, m, k, 1, 1)).table()
+        table = run_full_audit(*build_instance(n, m, k, 1)).table()
         assert hashlib.sha256(table.encode()).hexdigest() == digest

@@ -133,7 +133,7 @@ class TestSimulate:
             raise AssertionError("simulate built the array or drew the library before refusing")
 
         monkeypatch.setattr("scpir.cli.sda.build_greedy", refuse)
-        monkeypatch.setattr("scpir.scheme.random_library", refuse)
+        monkeypatch.setattr("scpir.cli.random_library", refuse)
 
     @pytest.mark.parametrize(
         "n, m, k, l_mult, message",
@@ -160,6 +160,7 @@ class TestSimulate:
             (5, 1, 2, 1, "M=1 retrieval is out of scope"),
             (5, 1, 2, 7, "M=1 retrieval is out of scope"),
             (100000, 1, 2, 1, "M=1 retrieval is out of scope"),
+            (100000, 1, 0, 1, "M=1 retrieval is out of scope"),  # M before K
             (3, 4, 2, 9, "need 1 <= M <= N"),
         ],
     )
@@ -201,7 +202,7 @@ class TestAudit:
         def refuse(*args):
             raise AssertionError("the audit drew a library or walked a round")
 
-        monkeypatch.setattr("scpir.scheme.random_library", refuse)
+        monkeypatch.setattr("scpir.cli.random_library", refuse)
         monkeypatch.setattr("scpir.audit.enumerate_realizations", refuse)
 
     @pytest.mark.parametrize("n, m, k", [(9, 4, 9), (3, 2, 19), (3, 2, 10**9)])
@@ -220,7 +221,7 @@ class TestAudit:
         def refuse(*args):
             raise AssertionError("the audit built the array before refusing")
 
-        monkeypatch.setattr("scpir.audit.sda.build_greedy", refuse)
+        monkeypatch.setattr("scpir.cli.sda.build_greedy", refuse)
 
     @pytest.mark.parametrize(
         "n, m, k, message",
@@ -322,7 +323,9 @@ class TestAnalyze:
         assert "n-max must be at least 2" in stderr
 
 
-@pytest.mark.parametrize("command", [["simulate", "--theta", "1"], ["audit"]])
+@pytest.mark.parametrize(
+    "command", [["simulate", "--theta", "1"], ["audit"], ["simulate", "--theta", "1", "--l-mult", "0"]]
+)
 def test_no_files_refused(capsys, command):
     code, stdout, stderr = run(capsys, command[0], "--n", "2", "--m", "2", "--k", "0", *command[1:])
     assert code == 2
@@ -361,7 +364,7 @@ def test_out_of_memory_exits_two(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr("scpir.scheme.random_library", exhausted)
+    monkeypatch.setattr("scpir.cli.random_library", exhausted)
     code, stdout, stderr = run(capsys, "simulate", "--n", "3", "--m", "2", "--k", "2", "--theta", "1")
     assert code == 2
     assert stdout == ""
@@ -372,7 +375,7 @@ def test_overflow_exits_two(capsys, monkeypatch):
     def unrepresentable(*args):
         raise OverflowError("int too large to convert to C int")
 
-    monkeypatch.setattr("scpir.scheme.random_library", unrepresentable)
+    monkeypatch.setattr("scpir.cli.random_library", unrepresentable)
     code, stdout, stderr = run(capsys, "simulate", "--n", "3", "--m", "2", "--k", "2", "--theta", "1")
     assert code == 2
     assert stdout == ""

@@ -9,10 +9,10 @@ from itertools import product
 import pytest
 
 from scpir import sda
+from scpir.audit import run_full_audit
 from scpir.scheme import (
     FileLibrary,
     average_download,
-    greedy_scheme,
     group_storage,
     minimal_length,
     plan_storage,
@@ -118,36 +118,6 @@ class TestPlanStorage:
             plan_storage(alpha, k=2, file_len=minimal_length(4, 2))
 
 
-class TestGreedyScheme:
-    def test_same_scheme_as_the_pipeline(self):
-        layout, plan, library = greedy_scheme(12, 5, 3, 2, seed=4)
-        assert (layout, plan) == plan_storage(greedy_alpha(12, 5), 3, 2 * minimal_length(12, 5))
-        assert library == random_library(3, 2 * minimal_length(12, 5), seed=4)
-
-    @pytest.mark.parametrize(
-        "n, m, k, l_mult, message",
-        [
-            (3, 4, 0, 1, "need 1 <= M <= N"),
-            (10**5, 1, 0, 1, "M=1 retrieval is out of scope"),
-            (5, 2, 0, 1, "need at least one file, got K=0"),
-            (10**5, 2, 2, 1, "sends 200000 query symbols and draws a 100000-byte library"),
-            (3, 2, 1, 5592406, "draws a 16777218-byte library; the bounds are 32768 and 16777216"),
-            (4, 2, 2, 0, "l-mult must be a positive integer"),
-            (4, 2, 2, -1, "l-mult must be a positive integer"),
-            (4, 2, 2, 1.5, "l-mult must be a positive integer"),
-            (5, 2, 0, 0, "need at least one file, got K=0"),
-        ],
-    )
-    def test_refuses_in_order_before_building(self, monkeypatch, n, m, k, l_mult, message):
-        def refuse(*args):
-            raise AssertionError("greedy_scheme built before refusing")
-
-        monkeypatch.setattr(sda, "build_greedy", refuse)
-        monkeypatch.setattr("scpir.scheme.random_library", refuse)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            greedy_scheme(n, m, k, l_mult, seed=0)
-
-
 class TestRetrieve:
     def test_hand_traced_2_2(self):
         layout, plan = plan_storage(greedy_alpha(2, 2), k=2, file_len=1)
@@ -230,6 +200,15 @@ class TestRetrieve:
             retrieve(3, plan, layout, library, [(0, 0)])
         with pytest.raises(ValueError):
             retrieve(1, plan, layout, library, [])
+        # a library off the plan's K or L is refused before any group is read,
+        # so the full audit raises rather than blame the protocol for it
+        for k_files, file_len in [(2, 2), (3, 1)]:
+            other = random_library(k_files, file_len, seed=0)
+            message = f"a library of {k_files} files of {file_len} symbols does not match K=2 and L=1"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                retrieve(1, plan, layout, other, [(0, 0)])
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_full_audit(layout, plan, other)
 
 
 class TestGroupStorage:
