@@ -80,8 +80,8 @@ def transcript_record(n: int, m: int, k: int, transcript: RetrievalTranscript, m
 
 def _scheme(n: int, m: int, k: int, l_mult: int, seed: int):
     """(layout, plan, library) over the greedy (N, M) array with K seeded files
-    of l_mult minimal lengths, once (N, M), M and K are refused. Refuses l_mult < 1,
-    then MAX_ROUND_SYMBOLS or MAX_LIBRARY_BYTES exceeded, before building."""
+    of l_mult minimal lengths, for a caller that has checked (N, M), M and K.
+    Refuses l_mult < 1, then a retrieval over either bound, before building."""
     if l_mult < 1:
         raise ValueError("l-mult must be a positive integer")
     symbols = sda.eta_recursion(n, m) * m * k
