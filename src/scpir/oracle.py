@@ -19,7 +19,7 @@ returned witness, and the results are certificates, not estimates. The
 candidates are a canonical family that meets every relabeling orbit of
 supports, drawn depth-first with each prefix's server union carried as a
 bitmask; that is sound because of two symmetries of the per-server
-equalities sum_{s ∋ i} alpha_s = M/N:
+equalities sum_{s ∋ i} alpha_s = M/N, and one forced deduction:
 
 * Relabeling. Permuting server labels maps feasible supports to feasible
   supports, so every feasible support has an image that contains [M] and,
@@ -30,6 +30,10 @@ equalities sum_{s ∋ i} alpha_s = M/N:
   1 - M/N = (N-M)/N with alpha unchanged: (N, M) and (N, N-M) have the same
   feasible supports up to complement, the duality `sda.opposite` uses.
   Instances with 2M > N are searched on the smaller side.
+* Forced groups. A server held by one group alone pins that group's
+  fraction to the whole budget M/N, so two such groups that share a
+  server load it twice over: a support where they do is infeasible and
+  is dropped before it is decided.
 
 Instances are hard-capped at N <= 8; the combinatorics explode beyond that
 and these solvers exist to certify bounds, not to scale.
@@ -233,16 +237,21 @@ def _canonical_supports(n: int, m: int, size: int):
     group {1..j} ∪ {M+1..2M-j}: permute inside [M] and inside its
     complement, which keeps every overlap with [M]. So j runs from M-1 down
     to max(0, 2M-N), and the other `size` - 2 groups are drawn only from
-    groups meeting [M] in at most j servers. Supports missing a server are
-    skipped, since unit propagation rejects them anyway.
+    groups meeting [M] in at most j servers. Two filters drop supports
+    that unit propagation would reject anyway: coverage drops a support
+    missing a server, and forced clash one in which two forced groups,
+    each holding a server no other group holds, share a server
+    (`_forced_clash`).
 
     The draw walks the pool depth-first in `combinations` order, carrying
-    each prefix's union of server bitmasks, so the last pick's coverage test
-    is one AND with the servers its prefix leaves uncovered. A prefix is
-    dropped whole when its uncovered servers outnumber the M per pick that
-    its remaining picks can add: every completion of it would miss a
-    server. So the candidates and their order are those of `combinations`
-    filtered by coverage.
+    each prefix's union of server bitmasks and the mask of servers two or
+    more of its groups hold, so the last pick's coverage test is one AND
+    with the servers its prefix leaves uncovered. A prefix is dropped whole
+    when its uncovered servers outnumber the M per pick that its remaining
+    picks can add: every completion of it would miss a server. The clash
+    test runs only on complete supports, since a later pick can cover a
+    prefix's private server. So the candidates and their order are those
+    of `combinations` filtered by both rules.
     """
     universe = list(combinations(range(1, n + 1), m))
     if m == n:
@@ -257,21 +266,50 @@ def _canonical_supports(n: int, m: int, size: int):
         pool = [s for s in universe if s != second and sum(i <= m for i in s) <= j]
         masks = [mask[s] for s in pool]
 
-        def extend(start: int, covered: int, left: int, picked: list[Subset]):
+        def extend(
+            start: int, covered: int, multi: int, left: int, picked: list[Subset], held: list[int]
+        ):
             uncovered = full & ~covered
             if uncovered.bit_count() > left * m:
                 return  # each pick covers at most M more servers
             if left == 0:
-                yield picked
+                if not _forced_clash(held, multi, full):
+                    yield picked
             elif left == 1:  # the last pick must cover every uncovered server
                 for k in range(start, len(pool)):
-                    if masks[k] & uncovered == uncovered:
+                    g = masks[k]
+                    if g & uncovered == uncovered and not _forced_clash(
+                        [*held, g], multi | (covered & g), full
+                    ):
                         yield [*picked, pool[k]]
             else:
                 for k in range(start, len(pool) - left + 1):
-                    yield from extend(k + 1, covered | masks[k], left - 1, [*picked, pool[k]])
+                    g = masks[k]
+                    yield from extend(
+                        k + 1, covered | g, multi | (covered & g), left - 1,
+                        [*picked, pool[k]], [*held, g],
+                    )
 
-        yield from extend(0, mask[first] | mask[second], size - 2, [first, second])
+        a, b = mask[first], mask[second]
+        yield from extend(0, a | b, a & b, size - 2, [first, second], [a, b])
+
+
+def _forced_clash(held: list[int], multi: int, full: int) -> bool:
+    """Whether two forced groups of a complete support share a server.
+
+    `held` has the support's group masks and `multi` the servers two or
+    more of them hold. A group holding a server no other group holds is
+    forced to that server's whole budget, so two forced groups through a
+    common server load it twice over and propagation rejects the support.
+    """
+    once = full & ~multi
+    forced = 0
+    for g in held:
+        if g & once:
+            if g & forced:
+                return True
+            forced |= g
+    return False
 
 
 def min_eta_star(n: int, m: int):
@@ -283,6 +321,8 @@ def min_eta_star(n: int, m: int):
     witness has exactly eta* positive groups. When 2M > N and N-M >= 2 the
     search runs on (N, N-M) and every witness group is complemented: server
     i's load becomes 1 - (N-M)/N = M/N with the fractions unchanged.
+    The `OracleBudgetError` message counts the candidates decided, that is
+    the supports that passed both of `_canonical_supports`' filters.
     """
     _check_scale(n, m)
     dual = 2 * m > n and n - m >= 2

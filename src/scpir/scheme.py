@@ -144,7 +144,11 @@ def plan_storage(alpha: sda.AlphaAssignment, k: int, file_len: int):
 
 def group_storage(layout: PacketLayout, group: int, library: FileLibrary) -> GroupStorage:
     """The K x (M-1) packet grid every server of one group holds, as
-    zero-copy memoryview slices of the library's files."""
+    zero-copy memoryview slices of the library's files. Raises ValueError
+    when the library's files are not the layout's L symbols long."""
+    if library.file_len != layout.file_len:
+        raise ValueError(f"a library of {library.file_len}-symbol files "
+                         f"does not match L={layout.file_len}")
     region = layout.groups[group]
     p = region.packet_bytes
     packets = tuple(

@@ -60,11 +60,10 @@ def reference_propagate(subsets, n, side):
     return alpha, remaining
 
 
-def reference_canonical_supports(n, m, size):
-    """The canonical candidates the long way: every `combinations` draw of
-    the other groups, each OR-ed up from scratch and kept when it covers
-    every server. `oracle._canonical_supports` must yield the same lists
-    in the same order."""
+def reference_covering_supports(n, m, size):
+    """The canonical draws the long way, filtered by coverage only: every
+    `combinations` draw of the other groups, each OR-ed up from scratch and
+    kept when it covers every server."""
     universe = list(combinations(range(1, n + 1), m))
     if m == n:
         if size == 1:
@@ -83,6 +82,26 @@ def reference_canonical_supports(n, m, size):
                 covered |= mask[s]
             if covered == full:
                 yield [first, second, *rest]
+
+
+def reference_forced_clash(support, n):
+    """Whether two forced groups share a server, the long way: a group is
+    forced when some server's list of holders is that group alone."""
+    holders = [[] for _ in range(n)]
+    for s in support:
+        for i in s:
+            holders[i - 1].append(s)
+    forced = {held[0] for held in holders if len(held) == 1}
+    return any(not set(a).isdisjoint(b) for a, b in combinations(forced, 2))
+
+
+def reference_canonical_supports(n, m, size):
+    """The covering draws whose forced groups do not clash.
+    `oracle._canonical_supports` must yield the same lists in the same
+    order."""
+    for support in reference_covering_supports(n, m, size):
+        if not reference_forced_clash(support, n):
+            yield support
 
 
 class TestBitmaskKernels:
@@ -105,6 +124,29 @@ class TestBitmaskKernels:
                 for size in range(2, 6):
                     got = list(oracle._canonical_supports(n, m, size))
                     assert got == list(reference_canonical_supports(n, m, size)), (n, m, size)
+
+    def test_clash_filter_drops_only_infeasible_supports(self):
+        # the generator keeps a subsequence of the covering draws, and every
+        # draw it leaves out fails propagation
+        for n in range(3, oracle.MAX_SERVERS + 1):
+            for m in range(2, n):
+                for size in range(2, 6):
+                    kept = oracle._canonical_supports(n, m, size)
+                    pending = next(kept, None)
+                    for support in reference_covering_supports(n, m, size):
+                        if support == pending:
+                            pending = next(kept, None)
+                        else:
+                            assert reference_propagate(support, n, m) is None, (n, support)
+                    assert pending is None, (n, m, size)
+
+    def test_decided_supports_pinned(self):
+        # coverage alone would hand _solve_support 1,058 and 67 supports
+        for n, m, decided in ((7, 3, 351), (7, 5, 1)):
+            spy = mock.patch.object(oracle, "_solve_support", wraps=oracle._solve_support)
+            with spy as solve:
+                min_eta_star(n, m)
+            assert solve.call_count == decided, (n, m)
 
 
 class TestLpFeasible:

@@ -220,6 +220,15 @@ class TestGroupStorage:
         joined = b"".join(storage.packets[0])
         assert joined == library.file(1)[region.file_offset : region.file_offset + 12]
 
+    @pytest.mark.parametrize("file_len", [9, 54])
+    def test_library_of_the_wrong_length_refused(self, file_len):
+        # unchecked, a 9-symbol library gives empty packets and a 54-symbol
+        # one the packets of its first 27 symbols
+        layout, _ = plan_storage(greedy_alpha(9, 4), k=2, file_len=27)
+        message = f"a library of {file_len}-symbol files does not match L=27"
+        with pytest.raises(ValueError, match=message):
+            group_storage(layout, 0, random_library(2, file_len, seed=2))
+
 
 class TestAverageDownload:
     def test_2_2(self):
