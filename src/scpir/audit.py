@@ -47,10 +47,13 @@ round:
 * privacy sorts each server position's query positions, none at K = 1;
 * correctness compares `decode`'s packet list with the basis packets;
 * rate counts the file's positions that are not silent in the table;
-* conditions reads each round's reply values and looks up its two
-  GF(2) verdicts by its wanted rows (one at K = 1, where no unwanted file
-  reads the other), so it eliminates only wanted rows it has not met
-  before in the walk.
+* conditions looks up two GF(2) verdicts by a round's wanted rows (one
+  at K = 1, where no unwanted file reads the other), so it eliminates
+  only wanted rows it has not met before in the walk. At K >= 2 it first
+  decides the whole file from two statistics, the verdicts of each
+  distinct tuple of wanted rows and residual identity over one int per
+  server slot; only a file that fails either is read a round at a time,
+  as every file is at K = 1.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -466,6 +469,12 @@ class _Conditions:
     so the fold keeps none. A round where residual identity holds for
     every unwanted file and both verdicts hold has nothing to note and
     skips the per-file loop.
+
+    At K >= 2, `_clean` first asks whether every round of the file skips,
+    from each distinct tuple of wanted rows and from residual identity
+    tested on all rounds at once. Such a file closes with no per-round
+    Python work. Any other file is read round by round, so the counts and
+    the first violation are the round loop's.
     """
 
     def __init__(self, m: int, k: int):
@@ -475,10 +484,13 @@ class _Conditions:
         self.others = [
             [(~blocks[o], ~(blocks[t] | blocks[o])) for o in range(k) if o != t] for t in range(k)
         ]
-        # per wanted file: the bits outside block_theta | block_o for some unwanted o
-        self.loose = [reduce(or_, (outside for _, outside in others), 0) for others in self.others]
         self.blocks = blocks
         self.fresh = 1 << (k * width)
+        # per wanted file: the bits below fresh outside block_theta | block_o for some unwanted o
+        self.loose = [reduce(or_, (outside for _, outside in others), 0) & self.fresh - 1
+                      for others in self.others]
+        self.cell = (k * width + 8) // 8  # bytes of one row with its fresh bit
+        self.cells = []  # each reply's row as `cell` little-endian bytes, silence as fresh; built at file 1
         self.verdicts = {}  # wanted rows -> (retrieved, tagged) independence
         self.violations = 0
         self.first = None  # (kind, theta, base) of the first violation
@@ -487,9 +499,51 @@ class _Conditions:
         self.violations += 1
         self.first = self.first or (kind, theta, base)
 
+    def _decide(self, wanted):
+        """The (retrieved, tagged) verdicts of one round's wanted rows,
+        silence left out, kept for the walk when an unwanted file exists."""
+        retrieved = _gf2_independent([w for w in wanted if w])
+        if len(self.blocks) == 1:
+            return retrieved, True  # only an unwanted file reads tagged; K = 1 has none
+        verdicts = self.verdicts[wanted] = retrieved, _gf2_independent([w | self.fresh for w in wanted])
+        return verdicts
+
+    def _clean(self, theta, m, positions, replies) -> bool:
+        """Whether every round of file theta passes the round loop's skip
+        test, decided from two whole-file statistics: both verdicts of each
+        distinct tuple of wanted rows, and residual identity. For the
+        latter, server slot s's rows over all rounds are joined into one
+        int of `cell`-byte fields, field r holding round r's row; `union`
+        ORs the slots and `common` ANDs them with silent fields filled, so
+        field r of `union & ~common & loose` is round r's `spread & loose`.
+        File 1 builds the table of cells that every file reads."""
+        cell, fresh, own = self.cell, self.fresh, self.blocks[theta - 1]
+        if theta == 1:
+            self.cells = [(fresh if (row := reply.value) is None else row).to_bytes(cell, "little")
+                          for reply in replies]
+        wanted_at = [None if (row := reply.value) is None else row & own for reply in replies]
+        for rows in set(zip(*[map(wanted_at.__getitem__, positions)] * m)):
+            wanted = tuple(w for w in rows if w is not None)
+            retrieved, tagged = self.verdicts.get(wanted) or self._decide(wanted)
+            if not (retrieved and tagged):
+                return False
+        del wanted_at
+        cells, rounds, low = self.cells, len(positions) // m, fresh.bit_length() - 1
+        loose = int.from_bytes(self.loose[theta - 1].to_bytes(cell, "little") * rounds, "little")
+        silence = int.from_bytes(fresh.to_bytes(cell, "little") * rounds, "little")
+        union, common = 0, -1
+        for s in range(m):
+            rows = int.from_bytes(b"".join(map(cells.__getitem__, positions[s::m])), "little")
+            silent = rows & silence
+            union |= rows
+            common &= rows | silent - (silent >> low)  # a silent field is all ones below fresh
+        return not union & ~common & loose
+
     def close(self, theta, m, positions, replies):
         own, loose, others = self.blocks[theta - 1], self.loose[theta - 1], self.others[theta - 1]
-        known, fresh = self.verdicts, self.fresh
+        if others and self._clean(theta, m, positions, replies):
+            return  # no round of the file has anything to note
+        known = self.verdicts
         for base, replied in _rounds(m, len(self.blocks), positions, replies):
             sent, wanted = [], []
             union, common = 0, -1  # the bits some row has, and the bits every row has
@@ -500,13 +554,7 @@ class _Conditions:
                     union |= row
                     common &= row
             wanted = tuple(wanted)
-            verdicts = known.get(wanted)
-            if verdicts is None:
-                retrieved = _gf2_independent([w for w in wanted if w])
-                verdicts = retrieved, True  # only an unwanted file reads tagged; K = 1 has none
-                if others:
-                    verdicts = known[wanted] = retrieved, _gf2_independent([w | fresh for w in wanted])
-            retrieved, tagged = verdicts
+            retrieved, tagged = known.get(wanted) or self._decide(wanted)
             # the bits on which some row differs from the others; duplicate
             # shifts at M = 2 can silence every server, and then nothing differs
             spread = union & ~common

@@ -35,7 +35,7 @@ equalities sum_{s ∋ i} alpha_s = M/N, and one forced deduction:
   server load it twice over: a support where they do is infeasible and
   is dropped before it is decided.
 
-Instances are hard-capped at N <= 8; the combinatorics explode beyond that
+Instances are hard-capped at N <= 10; the combinatorics explode beyond that
 and these solvers exist to certify bounds, not to scale.
 """
 
@@ -46,7 +46,7 @@ from .sda import eta_lower_bound
 
 Subset = tuple[int, ...]
 
-MAX_SERVERS = 8
+MAX_SERVERS = 10
 MAX_CAP = 12
 
 

@@ -183,10 +183,12 @@ def decode(theta: int, base: tuple[int, ...], answers: Sequence[Answer]) -> list
     The server whose shifted coordinate landed on M-1 supplied the
     interference term (or stayed silent when the term is empty, which the
     base vector predicts exactly); subtracting it from every other answer
-    yields the wanted packets in index order. One pass reads the replies'
-    values and sizes; silence is then checked by counting the silent
-    replies and testing the holder, and only a violation walks the
-    servers, to name the first whose silence is wrong.
+    yields the wanted packets in index order. When the holder's silence is
+    the predicted one, and its size a sender's if it speaks, one pass over
+    the other M-1 replies checks that each speaks at that size and XORs it
+    out. The first anomaly ends that pass, and a second walk of the servers
+    names the first whose silence is wrong, or else the mixed lengths.
+    `answers` may be a list or a tuple.
     """
     m = len(answers)
     _check_round(theta, base, m)
@@ -195,28 +197,27 @@ def decode(theta: int, base: tuple[int, ...], answers: Sequence[Answer]) -> list
     # the holder is silent exactly when every other coordinate points at M-1
     expect_silent = base.count(m - 1) - (shift == m - 1) == len(base) - 1
     size = answers[holder - 1].size  # a sender's, once only the holder may be silent
-    values, mixed = [], False
-    for reply in answers:
-        values.append(reply.value)
-        if reply.size != size and reply.value is not None:
-            mixed = True
-    if values.count(None) != expect_silent or (expect_silent and values[holder] is not None):
-        for server, value in enumerate(values):  # name the first server whose silence is wrong
-            silent = value is None
-            if silent != (server == holder and expect_silent):
-                raise ProtocolViolation(
-                    f"server {server} with query {make_queries(theta, base, m)[server]} "
-                    f"{'stayed silent' if silent else 'answered'} unexpectedly"
-                )
-    if mixed:
-        sizes = sorted({a.size for a in answers if a.value is not None})
-        raise ProtocolViolation(f"answer payloads have mixed lengths {sizes}")
-    interference = values[holder] or 0
-    packets = []
-    # packet index i comes from server (i - shift) % M: the servers after the holder
-    for value in values[holder + 1 :] + values[:holder]:
-        packets.append((value ^ interference).to_bytes(size, "little"))
-    return packets
+    interference = answers[holder].value
+    if (interference is None) == expect_silent and (expect_silent or answers[holder].size == size):
+        interference = interference or 0
+        packets = []
+        # packet index i comes from server (i - shift) % M: the servers after the holder
+        for reply in answers[holder + 1 :] + answers[:holder]:
+            if (value := reply.value) is None or reply.size != size:
+                break
+            packets.append((value ^ interference).to_bytes(size, "little"))
+        else:
+            return packets
+    for server, reply in enumerate(answers):  # name the first server whose silence is wrong
+        silent = reply.value is None
+        if silent != (server == holder and expect_silent):
+            raise ProtocolViolation(
+                f"server {server} with query {make_queries(theta, base, m)[server]} "
+                f"{'stayed silent' if silent else 'answered'} unexpectedly"
+            )
+    # every silence is the predicted one, so a sender's size differs
+    sizes = sorted({a.size for a in answers if a.value is not None})
+    raise ProtocolViolation(f"answer payloads have mixed lengths {sizes}")
 
 
 def enumerate_realizations(m: int, k: int):

@@ -346,12 +346,37 @@ class TestConditionsAudit:
         [(2, 1), (3, 1), (5, 1), (2, 2), (2, 5), (2, 7), (2, 9), (3, 2), (3, 4), (3, 5), (4, 3),
          (4, 4), (5, 2), (5, 3), (6, 2)],
     )
-    def test_count_matches_long_way(self, m, k):
+    def test_count_matches_long_way(self, monkeypatch, m, k):
+        # and the whole-file exit hides nothing: with every file read round
+        # by round, each builder gets the same check
         builders = (make_queries, queries_duplicate_shift, queries_missing_offset, shifted_unwanted,
                     duplicate_and_shifted)
         for query_fn in builders:
             check = conditions_audit(m, k, query_fn=query_fn)
             assert check.measured == per_file_violations(m, k, query_fn), query_fn.__name__
+            with monkeypatch.context() as patch:
+                patch.setattr(audit._Conditions, "_clean", lambda *args: False)
+                slow = conditions_audit(m, k, query_fn=query_fn)
+            got = (slow.passed, slow.measured, slow.detail)
+            assert got == (check.passed, check.measured, check.detail), query_fn.__name__
+
+    @pytest.mark.parametrize("m, k", [(2, 2), (2, 5), (3, 2), (3, 4), (4, 3), (5, 2), (6, 2), (7, 2)])
+    def test_only_a_faulty_file_is_read_round_by_round(self, monkeypatch, m, k):
+        # at K >= 2 the whole-file statistics clear every honest file, on
+        # both position routes, so a whole-file check that always fell back
+        # to the round loop fails here; the faulty builders do fall back.
+        # Moving an unwanted coordinate breaks residual identity only where
+        # a third file holds a residual
+        read = []
+        rounds = audit._rounds
+        monkeypatch.setattr(audit, "_rounds", lambda *args: read.append(args) or rounds(*args))
+        for query_fn in (None, make_queries):
+            assert conditions_audit(m, k, query_fn=query_fn).passed
+            assert not read, query_fn
+        for query_fn in (queries_duplicate_shift, shifted_unwanted)[: 1 + (k > 2)]:
+            assert not conditions_audit(m, k, query_fn=query_fn).passed, query_fn.__name__
+            assert read, query_fn.__name__
+            read.clear()
 
 
 def shifted_unwanted(theta, base, m):

@@ -294,8 +294,9 @@ def protocol_rounds(draw):
 def test_queries_and_decode_match_reference(instance):
     # every theta, on the drawn base and on the base whose holder must stay
     # silent; every pattern of silent and answering servers, and each reply
-    # made a byte longer: the same packets, or the same exception naming the
-    # same server, as the per-server reference
+    # made a byte longer, each as a list (as `retrieve` sends it) and as a
+    # tuple (as the audit walk does): the same packets, or the same
+    # exception naming the same server, as the per-server reference
     storage, drawn = instance
     m, k = storage.m, storage.k
     spoken = Answer(0, storage.size)  # a reply from a server that should stay silent
@@ -305,13 +306,15 @@ def test_queries_and_decode_match_reference(instance):
         assert queries == reference_make_queries(theta, base, m)
         answers = [answer(q, storage) for q in queries]
         assert decode(theta, base, answers) == reference_decode(theta, base, answers)
-        for silenced in product((False, True), repeat=m):
-            sent = [SILENT if hush else spoken if a.silent else a for a, hush in zip(answers, silenced)]
-            assert outcome(decode, theta, base, sent) == outcome(reference_decode, theta, base, sent)
-        for server, a in enumerate(answers):
-            if not a.silent:
-                longer = answers[:server] + [Answer(a.value, a.size + 1)] + answers[server + 1 :]
-                assert outcome(decode, theta, base, longer) == outcome(reference_decode, theta, base, longer)
+        variants = [answers]
+        variants += [[SILENT if hush else spoken if a.silent else a for a, hush in zip(answers, silenced)]
+                     for silenced in product((False, True), repeat=m)]
+        variants += [answers[:server] + [Answer(a.value, a.size + 1)] + answers[server + 1 :]
+                     for server, a in enumerate(answers) if not a.silent]
+        for sent in variants:
+            expected = outcome(reference_decode, theta, base, sent)
+            assert outcome(decode, theta, base, sent) == expected
+            assert outcome(decode, theta, base, tuple(sent)) == expected
 
 
 @st.composite
