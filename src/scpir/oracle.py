@@ -35,23 +35,24 @@ equalities sum_{s ∋ i} alpha_s = M/N, and one forced deduction:
   server load it twice over: a support where they do is infeasible and
   is dropped before it is decided.
 
-Instances are hard-capped at N <= 10; the combinatorics explode beyond that
-and these solvers exist to certify bounds, not to scale.
+Both searches end at bounds the paper proves, read from
+`sda.closed_forms`. `min_eta_star` tries sizes from the combinatorial floor
+up to greedy's eta: greedy's array is a feasible support of that size and
+the canonical family meets its orbit, so the search returns by then.
+`min_eta_equal` needs M*eta/N integral, so N/gcd(N, M) divides eta, and
+the equal-size array covers at that eta, so it is the one size searched.
+`MAX_SERVERS` caps N at 10 as the runtime bound: the candidate count
+explodes beyond that, and these solvers certify bounds, not scale.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from .sda import eta_lower_bound
+from .sda import closed_forms
 
 Subset = tuple[int, ...]
 
 MAX_SERVERS = 10
-MAX_CAP = 12
-
-
-class OracleBudgetError(RuntimeError):
-    """Raised when the requested search exceeds the desk-scale budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -315,28 +316,26 @@ def _forced_clash(held: list[int], multi: int, full: int) -> bool:
 def min_eta_star(n: int, m: int):
     """Smallest feasible support size, with a strictly positive witness.
 
-    Searches sizes upward from the combinatorial lower bound to MAX_CAP,
-    over the canonical supports of `_canonical_supports`; a witness on a
-    strict sub-support would have been found at a smaller size, so the
-    witness has exactly eta* positive groups. When 2M > N and N-M >= 2 the
-    search runs on (N, N-M) and every witness group is complemented: server
-    i's load becomes 1 - (N-M)/N = M/N with the fractions unchanged.
-    The `OracleBudgetError` message counts the candidates decided, that is
-    the supports that passed both of `_canonical_supports`' filters.
+    Searches sizes upward from the combinatorial lower bound to greedy's
+    eta, both from one `sda.closed_forms` call, over the canonical supports
+    of `_canonical_supports`; a witness on a strict sub-support would have
+    been found at a smaller size, so the witness has exactly eta* positive
+    groups. When 2M > N and N-M >= 2 the search runs on (N, N-M) and every
+    witness group is complemented: server i's load becomes
+    1 - (N-M)/N = M/N with the fractions unchanged. No feasible size up to
+    greedy's eta raises RuntimeError: the oracle and the closed form
+    disagree.
     """
     _check_scale(n, m)
     dual = 2 * m > n and n - m >= 2
     side = n - m if dual else m
-    tried = 0
-    for size in range(eta_lower_bound(n, m), MAX_CAP + 1):
+    _, _, greedy, _, lower, _ = closed_forms(n, m)
+    for size in range(lower, greedy + 1):
         for candidate in _canonical_supports(n, side, size):
-            tried += 1
             witness = _solve_support(candidate, n, side)
             if witness is not None:
                 return size, (_complement(witness, n) if dual else witness)
-    raise OracleBudgetError(
-        f"no feasible support of size <= {MAX_CAP} for N={n}, M={m} ({tried} candidates tried)"
-    )
+    raise RuntimeError(f"no feasible support of size <= greedy's eta {greedy} for N={n}, M={m}")
 
 
 def _complement(witness: dict[Subset, Fraction], n: int) -> dict[Subset, Fraction]:
@@ -349,19 +348,14 @@ def min_eta_equal(n: int, m: int):
     """Smallest eta for which some eta-multiset of M-subsets covers every
     server exactly M*eta/N times (all group fractions equal 1/eta).
 
-    Sizes up to MAX_CAP that make M*eta/N non-integral are impossible and
-    skipped; the rest are decided by depth-first search over multisets.
+    That eta is N/gcd(N, M), `sda.closed_forms`' eta_equal (module
+    docstring); the witness is the depth-first search's first multiset
+    covering every server M/gcd(N, M) times.
     """
     _check_scale(n, m)
+    g, eta = closed_forms(n, m)[:2]
     universe = list(combinations(range(1, n + 1), m))
-    for eta in range(1, MAX_CAP + 1):
-        if (m * eta) % n:
-            continue
-        target = m * eta // n
-        witness = _equal_cover(universe, n, eta, target)
-        if witness is not None:
-            return eta, witness
-    raise OracleBudgetError(f"no equal-size cover of size <= {MAX_CAP} for N={n}, M={m}")
+    return eta, _equal_cover(universe, n, eta, m // g)
 
 
 def _equal_cover(universe: list[Subset], n: int, picks: int, target: int):

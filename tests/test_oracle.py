@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scpir import oracle, sda
-from scpir.oracle import OracleBudgetError, lp_feasible, min_eta_equal, min_eta_star
+from scpir.oracle import lp_feasible, min_eta_equal, min_eta_star
 
 
 def reference_eta_star(n, m):
@@ -282,12 +282,18 @@ class TestMinEtaStar:
         with pytest.raises(ValueError):
             min_eta_star(6, 1)
 
-    def test_cap_exceeded_reports(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_CAP", 3)
-        with pytest.raises(OracleBudgetError):
+    def test_greedy_below_eta_star_raises(self, monkeypatch):
+        # with greedy's eta read one below eta* = 4, the search runs out of
+        # sizes: the oracle and the closed form disagree
+        def short(n, m):
+            g, equal, greedy, improved, lower, gap = sda.closed_forms(n, m)
+            return g, equal, greedy - 1, improved, lower, gap
+
+        monkeypatch.setattr(oracle, "closed_forms", short)
+        with pytest.raises(RuntimeError, match="greedy's eta 3 for N=5, M=2"):
             min_eta_star(5, 2)
         # searched on the complement side, reported for the instance asked
-        with pytest.raises(OracleBudgetError, match="N=5, M=3"):
+        with pytest.raises(RuntimeError, match="greedy's eta 3 for N=5, M=3"):
             min_eta_star(5, 3)
 
 
@@ -298,17 +304,15 @@ class TestMinEtaEqual:
         assert min_eta_equal(6, 3)[0] == 2
 
     def test_witness_covers_exactly(self):
-        eta, witness = min_eta_equal(5, 2)
-        assert len(witness) == eta
-        for server in range(1, 6):
-            assert sum(1 for s in witness if server in s) == 2 * eta // 5
+        for n in range(2, oracle.MAX_SERVERS + 1):
+            for m in range(2, n + 1):
+                eta, witness = min_eta_equal(n, m)
+                assert len(witness) == eta == n // gcd(n, m), (n, m)
+                assert all(len(set(s)) == m and set(s) <= set(range(1, n + 1)) for s in witness)
+                for server in range(1, n + 1):
+                    assert sum(server in s for s in witness) == m // gcd(n, m), (n, m, server)
 
     def test_matches_column_count_floor(self):
-        for n in range(2, 7):
+        for n in range(2, oracle.MAX_SERVERS + 1):
             for m in range(2, n + 1):
                 assert min_eta_equal(n, m)[0] == n // gcd(n, m)
-
-    def test_cap_exceeded(self, monkeypatch):
-        monkeypatch.setattr(oracle, "MAX_CAP", 4)
-        with pytest.raises(OracleBudgetError):
-            min_eta_equal(5, 2)
