@@ -47,13 +47,11 @@ round:
 * privacy sorts each server position's query positions, none at K = 1;
 * correctness compares `decode`'s packet list with the basis packets;
 * rate counts the file's positions that are not silent in the table;
-* conditions looks up two GF(2) verdicts by a round's wanted rows (one
-  at K = 1, where no unwanted file reads the other), so it eliminates
-  only wanted rows it has not met before in the walk. At K >= 2 it first
-  decides the whole file from two statistics, the verdicts of each
-  distinct tuple of wanted rows and residual identity over one int per
-  server slot; only a file that fails either is read a round at a time,
-  as every file is at K = 1.
+* conditions, at K >= 2, first decides the whole file from two
+  statistics: two GF(2) eliminations of each distinct tuple of wanted
+  rows, and residual identity over one int per server slot. A file that
+  fails either, and every file at K = 1, is read a round at a time by
+  the definition of the three conditions.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -146,10 +144,11 @@ def check_bill(m: int, k: int) -> None:
     MAX_REALIZATIONS; `cli` calls it before building the scheme, `_walk`
     before building any list. The walk answers M^K distinct queries into one
     table the folds read in place. Per round, correctness decodes once (which
-    validates the round), conditions runs at most two GF(2) eliminations of
-    at most M rows (one at K = 1), none for wanted rows it met before;
-    privacy sorts the file's M*M^K positions (none at K = 1), rate counts
-    them. M^64 alone exceeds the budget for M >= 2, so the power stops there."""
+    validates the round) and conditions runs at most K GF(2) eliminations
+    of at most M rows, two per distinct tuple of wanted rows in a file it
+    clears whole; privacy sorts the file's M*M^K positions (none at K = 1),
+    rate counts them. M^64 alone exceeds the budget for M >= 2, so the
+    power stops there."""
     if k * m ** min(k + 1, 64) > MAX_REALIZATIONS:
         raise ValueError(
             f"auditing (M, K) = ({m}, {k}) answers K*M^(K+1) = {k}*{m}^{k + 1} queries, "
@@ -449,32 +448,29 @@ class _Conditions:
       file) are identical across all transmitted answers.
 
     The rows are the replies' values on the one-hot basis, read in place
-    from the walk's one table at each round's M positions.
+    from the walk's one table at each round's M positions. `close` reads a
+    file round by round by this definition: per round one elimination of
+    the wanted rows, and per unwanted file one elimination of the kept
+    rows and one set of residual rows.
 
-    Only the statistic that decides each verdict is eliminated. Where
-    residual identity holds for the unwanted file o, every kept row is
-    wanted_i XOR e_o, with e_o the first row's bits outside the blocks of
-    the wanted file and of o. If e_o = 0 the kept rows are the wanted
+    At K >= 2, `_clean` first asks whether no round of the file has
+    anything to note, from two whole-file statistics, and a file it clears
+    closes with no per-round Python work; any other file, and every file
+    at K = 1, is read by the definition, so the counts and the first
+    violation are the round loop's. The argument below guards `_clean` alone.
+    Where residual identity holds for the unwanted file o, every kept row
+    is wanted_i XOR e_o, with e_o the first row's bits outside the blocks
+    of the wanted file and of o. If e_o = 0 the kept rows are the wanted
     rows. Otherwise e_o is linearly independent of the wanted block, so
     mapping it to one fresh bit above every block is injective on their
     span, and the kept rows are independent exactly when the rows
-    wanted_i | fresh are; that set is the same for every such o. So an
-    honest round needs two verdicts, retrieved (the nonzero wanted rows)
+    wanted_i | fresh are; that set is the same for every such o. So a
+    round with residual identity for every unwanted file has nothing to
+    note when two eliminations hold, retrieved (the nonzero wanted rows)
     and tagged (every wanted_i | fresh). Both depend on the tuple of
-    wanted rows alone, whatever built the queries, so the fold keeps them
-    per tuple for the walk and eliminates only tuples it has not met; only
-    where residual identity fails are the kept rows eliminated in full. At
-    K = 1 no unwanted file reads tagged, so each round gets the retrieved
-    elimination alone, and no two honest rounds share their wanted rows,
-    so the fold keeps none. A round where residual identity holds for
-    every unwanted file and both verdicts hold has nothing to note and
-    skips the per-file loop.
-
-    At K >= 2, `_clean` first asks whether every round of the file skips,
-    from each distinct tuple of wanted rows and from residual identity
-    tested on all rounds at once. Such a file closes with no per-round
-    Python work. Any other file is read round by round, so the counts and
-    the first violation are the round loop's.
+    wanted rows alone, whatever built the queries. Under an honest
+    `answer` every wanted row is 0 or a single bit, so tagged implies
+    retrieved; only a faulty `answer` separates them.
     """
 
     def __init__(self, m: int, k: int):
@@ -491,7 +487,6 @@ class _Conditions:
                       for others in self.others]
         self.cell = (k * width + 8) // 8  # bytes of one row with its fresh bit
         self.cells = []  # each reply's row as `cell` little-endian bytes, silence as fresh; built at file 1
-        self.verdicts = {}  # wanted rows -> (retrieved, tagged) independence
         self.violations = 0
         self.first = None  # (kind, theta, base) of the first violation
 
@@ -499,23 +494,16 @@ class _Conditions:
         self.violations += 1
         self.first = self.first or (kind, theta, base)
 
-    def _decide(self, wanted):
-        """The (retrieved, tagged) verdicts of one round's wanted rows,
-        silence left out, kept for the walk when an unwanted file exists."""
-        retrieved = _gf2_independent([w for w in wanted if w])
-        if len(self.blocks) == 1:
-            return retrieved, True  # only an unwanted file reads tagged; K = 1 has none
-        verdicts = self.verdicts[wanted] = retrieved, _gf2_independent([w | self.fresh for w in wanted])
-        return verdicts
-
     def _clean(self, theta, m, positions, replies) -> bool:
-        """Whether every round of file theta passes the round loop's skip
-        test, decided from two whole-file statistics: both verdicts of each
-        distinct tuple of wanted rows, and residual identity. For the
+        """Whether no round of file theta has anything to note, decided
+        from two whole-file statistics: the retrieved and tagged
+        eliminations of each distinct tuple of wanted rows, silence left
+        out, and residual identity for every unwanted file. For the
         latter, server slot s's rows over all rounds are joined into one
         int of `cell`-byte fields, field r holding round r's row; `union`
         ORs the slots and `common` ANDs them with silent fields filled, so
-        field r of `union & ~common & loose` is round r's `spread & loose`.
+        field r of `union & ~common & loose` is nonzero exactly when round
+        r's rows differ outside the wanted file and some unwanted file.
         File 1 builds the table of cells that every file reads."""
         cell, fresh, own = self.cell, self.fresh, self.blocks[theta - 1]
         if theta == 1:
@@ -523,9 +511,9 @@ class _Conditions:
                           for reply in replies]
         wanted_at = [None if (row := reply.value) is None else row & own for reply in replies]
         for rows in set(zip(*[map(wanted_at.__getitem__, positions)] * m)):
-            wanted = tuple(w for w in rows if w is not None)
-            retrieved, tagged = self.verdicts.get(wanted) or self._decide(wanted)
-            if not (retrieved and tagged):
+            wanted = [w for w in rows if w is not None]
+            if not (_gf2_independent([w for w in wanted if w])
+                    and _gf2_independent([w | fresh for w in wanted])):
                 return False
         del wanted_at
         cells, rounds, low = self.cells, len(positions) // m, fresh.bit_length() - 1
@@ -540,37 +528,21 @@ class _Conditions:
         return not union & ~common & loose
 
     def close(self, theta, m, positions, replies):
-        own, loose, others = self.blocks[theta - 1], self.loose[theta - 1], self.others[theta - 1]
+        own, others = self.blocks[theta - 1], self.others[theta - 1]
+        # at K = 1 the loop is one elimination a round, and `_clean`'s
+        # per-reply tables cost more: `audit --n 1000 --m 1000 --k 1` read
+        # 32.3 MiB peak RSS through `_clean`, over CI's 30 MiB bound
         if others and self._clean(theta, m, positions, replies):
             return  # no round of the file has anything to note
-        known = self.verdicts
         for base, replied in _rounds(m, len(self.blocks), positions, replies):
-            sent, wanted = [], []
-            union, common = 0, -1  # the bits some row has, and the bits every row has
-            for reply in replied:
-                if (row := reply.value) is not None:
-                    sent.append(row)
-                    wanted.append(row & own)
-                    union |= row
-                    common &= row
-            wanted = tuple(wanted)
-            retrieved, tagged = known.get(wanted) or self._decide(wanted)
-            # the bits on which some row differs from the others; duplicate
-            # shifts at M = 2 can silence every server, and then nothing differs
-            spread = union & ~common
-            if retrieved and tagged and not spread & loose:
-                continue  # residual identity holds for every unwanted file, and so does independence
-            if not retrieved:
+            sent = [row for reply in replied if (row := reply.value) is not None]
+            if not _gf2_independent([wanted for row in sent if (wanted := row & own)]):
                 self._note("retrieved-independence", theta, base)
-            head = sent[0] if sent else 0
             for drop, outside in others:
-                if spread & outside:
-                    if not _gf2_independent([kept for r in sent if (kept := r & drop)]):
-                        self._note("requested-independence", theta, base)
-                    self._note("residual-identity", theta, base)
-                    continue
-                if not (tagged if head & outside else retrieved):
+                if not _gf2_independent([kept for row in sent if (kept := row & drop)]):
                     self._note("requested-independence", theta, base)
+                if len({row & outside for row in sent}) > 1:
+                    self._note("residual-identity", theta, base)
 
     def finish(self) -> AuditCheck:
         return AuditCheck(

@@ -350,7 +350,7 @@ class TestConditionsAudit:
         # and the whole-file exit hides nothing: with every file read round
         # by round, each builder gets the same check
         builders = (make_queries, queries_duplicate_shift, queries_missing_offset, shifted_unwanted,
-                    duplicate_and_shifted)
+                    duplicate_and_shifted, interference_twice)
         for query_fn in builders:
             check = conditions_audit(m, k, query_fn=query_fn)
             assert check.measured == per_file_violations(m, k, query_fn), query_fn.__name__
@@ -359,6 +359,25 @@ class TestConditionsAudit:
                 slow = conditions_audit(m, k, query_fn=query_fn)
             got = (slow.passed, slow.measured, slow.detail)
             assert got == (check.passed, check.measured, check.detail), query_fn.__name__
+
+    def test_faulty_answer_breaks_only_retrieved_independence(self, monkeypatch):
+        # with an honest `answer` every wanted row is 0 or one bit, so only a
+        # faulty one separates `_clean`'s retrieved elimination from its
+        # tagged one: file 1's index 2 reads packets 0 XOR 1 and its virtual
+        # index reads packet 2, so its wanted rows are dependent while
+        # every wanted row | fresh is not
+        def mixed(query, storage):
+            rest = answer((3,) + query[1:], storage).value or 0
+            for i in {0: (0,), 1: (1,), 2: (0, 1), 3: (2,)}[query[0]]:
+                rest ^= int.from_bytes(storage.packets[0][i], "little")
+            return Answer(rest, storage.size)
+
+        monkeypatch.setattr(audit, "answer", mixed)
+        check = conditions_audit(4, 2)
+        assert (check.measured, check.detail) == (32, "retrieved-independence violated for file 1, base (0, 0)")
+        monkeypatch.setattr(audit._Conditions, "_clean", lambda *args: False)
+        slow = conditions_audit(4, 2)
+        assert (slow.measured, slow.detail) == (check.measured, check.detail)
 
     @pytest.mark.parametrize("m, k", [(2, 2), (2, 5), (3, 2), (3, 4), (4, 3), (5, 2), (6, 2), (7, 2)])
     def test_only_a_faulty_file_is_read_round_by_round(self, monkeypatch, m, k):
@@ -394,6 +413,19 @@ def duplicate_and_shifted(theta, base, m):
     `shifted_unwanted`'s."""
     queries = shifted_unwanted(theta, base, m)
     return queries[:2] + queries[:1] + queries[3:] if m > 2 else queries
+
+
+def interference_twice(theta, base, m):
+    """Faulty builder: the server after the holder, whose coordinate of
+    theta lands on M-1, is sent the holder's query too, so the interference
+    term is sent twice and packet 0 of file theta is never served. The
+    nonzero wanted rows stay independent: only the repeated zero wanted
+    row breaks independence, of the kept rows where a third file holds a
+    residual, so `_clean`'s tagged elimination alone must catch it."""
+    queries = make_queries(theta, base, m)
+    holder = (m - 1 - base[theta - 1]) % m
+    queries[(holder + 1) % m] = queries[holder]
+    return queries
 
 
 def leak_at_server_1(theta, base, m):
@@ -834,6 +866,9 @@ class TestFullAudit:
             (12, 4, 2, "57d622046e1e05411e78636bee592461d0befdd907053a9702b1a6afde34d9b1"),
             (2, 2, 2, "14f452d8d95228f6737bb230f793a183817f589e6123c7e52d2427ad4711ba08"),
             (5, 2, 3, "c1b0b704dbc6d825042ca99c2b099334a22378ee75e2266bee1234c30c34171f"),
+            (7, 3, 1, "f2770f1b19d6ec7a437984a6328feffa9915fd4afcad133cc5807e6ff0a2f8a4"),
+            (4, 4, 1, "c161ce0ba464cd9beed47084af78ccbd1e1623dc392c8cee1b0eb60ec6eaa765"),
+            (5, 2, 1, "d759213a36716abb9a1b07fdbe1674d88c1055fb90f3180e17e7374888e4812a"),
         ],
     )
     def test_table_is_pinned(self, n, m, k, digest):
