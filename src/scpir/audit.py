@@ -48,10 +48,11 @@ round:
 * correctness compares `decode`'s packet list with the basis packets;
 * rate counts the file's positions that are not silent in the table;
 * conditions, at K >= 2, first decides the whole file from two
-  statistics: two GF(2) eliminations of each distinct tuple of wanted
-  rows, and residual identity over one int per server slot. A file that
-  fails either, and every file at K = 1, is read a round at a time by
-  the definition of the three conditions.
+  statistics, with silence read as the zero row: two GF(2) eliminations
+  of each distinct tuple of wanted rows, and residual identity as one
+  list of residual rows per server slot, all equal. A file that fails
+  either, and every file at K = 1, is read a round at a time by the
+  definition of the three conditions.
 
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
@@ -468,9 +469,16 @@ class _Conditions:
     round with residual identity for every unwanted file has nothing to
     note when two eliminations hold, retrieved (the nonzero wanted rows)
     and tagged (every wanted_i | fresh). Both depend on the tuple of
-    wanted rows alone, whatever built the queries. Under an honest
-    `answer` every wanted row is 0 or a single bit, so tagged implies
-    retrieved; only a faulty `answer` separates them.
+    wanted rows alone, whatever built the queries. `_clean` reads silence
+    as the zero row, which only makes it stricter: that adds a zero row,
+    dropped, to retrieved, a lone fresh row to tagged (any subset of
+    independent rows is independent) and one equation to residual
+    identity, tested for every o at once on `loose`: every bit outside
+    the wanted block and some one unwanted block, spare bits included.
+    An honest round with a silent reply has every residual zero, so every
+    honest file is still cleared. Under an honest `answer` every wanted
+    row is 0 or a single bit, so tagged implies retrieved; only a faulty
+    `answer` separates them.
     """
 
     def __init__(self, m: int, k: int):
@@ -482,11 +490,8 @@ class _Conditions:
         ]
         self.blocks = blocks
         self.fresh = 1 << (k * width)
-        # per wanted file: the bits below fresh outside block_theta | block_o for some unwanted o
-        self.loose = [reduce(or_, (outside for _, outside in others), 0) & self.fresh - 1
-                      for others in self.others]
-        self.cell = (k * width + 8) // 8  # bytes of one row with its fresh bit
-        self.cells = []  # each reply's row as `cell` little-endian bytes, silence as fresh; built at file 1
+        # per wanted file: the bits outside block_theta | block_o for some unwanted o, spare bits included
+        self.loose = [reduce(or_, (outside for _, outside in others), 0) for others in self.others]
         self.violations = 0
         self.first = None  # (kind, theta, base) of the first violation
 
@@ -496,41 +501,26 @@ class _Conditions:
 
     def _clean(self, theta, m, positions, replies) -> bool:
         """Whether no round of file theta has anything to note, decided
-        from two whole-file statistics: the retrieved and tagged
-        eliminations of each distinct tuple of wanted rows, silence left
-        out, and residual identity for every unwanted file. For the
-        latter, server slot s's rows over all rounds are joined into one
-        int of `cell`-byte fields, field r holding round r's row; `union`
-        ORs the slots and `common` ANDs them with silent fields filled, so
-        field r of `union & ~common & loose` is nonzero exactly when round
-        r's rows differ outside the wanted file and some unwanted file.
-        File 1 builds the table of cells that every file reads."""
-        cell, fresh, own = self.cell, self.fresh, self.blocks[theta - 1]
-        if theta == 1:
-            self.cells = [(fresh if (row := reply.value) is None else row).to_bytes(cell, "little")
-                          for reply in replies]
-        wanted_at = [None if (row := reply.value) is None else row & own for reply in replies]
-        for rows in set(zip(*[map(wanted_at.__getitem__, positions)] * m)):
-            wanted = [w for w in rows if w is not None]
+        from two whole-file statistics, each reply's row read with silence
+        as the zero row: the retrieved and tagged eliminations of each
+        distinct tuple of wanted rows, and residual identity for every
+        unwanted file at once, as equal lists of `row & loose` over all
+        rounds for every server slot."""
+        fresh, own = self.fresh, self.blocks[theta - 1]
+        rows = [reply.value or 0 for reply in replies]
+        wanted_at = [row & own for row in rows]
+        for wanted in set(zip(*[map(wanted_at.__getitem__, positions)] * m)):
             if not (_gf2_independent([w for w in wanted if w])
                     and _gf2_independent([w | fresh for w in wanted])):
                 return False
-        del wanted_at
-        cells, rounds, low = self.cells, len(positions) // m, fresh.bit_length() - 1
-        loose = int.from_bytes(self.loose[theta - 1].to_bytes(cell, "little") * rounds, "little")
-        silence = int.from_bytes(fresh.to_bytes(cell, "little") * rounds, "little")
-        union, common = 0, -1
-        for s in range(m):
-            rows = int.from_bytes(b"".join(map(cells.__getitem__, positions[s::m])), "little")
-            silent = rows & silence
-            union |= rows
-            common &= rows | silent - (silent >> low)  # a silent field is all ones below fresh
-        return not union & ~common & loose
+        residual = [row & self.loose[theta - 1] for row in rows]
+        first = list(map(residual.__getitem__, positions[::m]))
+        return all(list(map(residual.__getitem__, positions[s::m])) == first for s in range(1, m))
 
     def close(self, theta, m, positions, replies):
         own, others = self.blocks[theta - 1], self.others[theta - 1]
-        # at K = 1 the loop is one elimination a round, and `_clean`'s
-        # per-reply tables cost more: `audit --n 1000 --m 1000 --k 1` read
+        # at K = 1 the loop is one elimination a round, and `_clean`'s set
+        # of M-row tuples costs more: `audit --n 1000 --m 1000 --k 1` read
         # 32.3 MiB peak RSS through `_clean`, over CI's 30 MiB bound
         if others and self._clean(theta, m, positions, replies):
             return  # no round of the file has anything to note

@@ -35,12 +35,13 @@ equalities sum_{s ∋ i} alpha_s = M/N, and one forced deduction:
   server load it twice over: a support where they do is infeasible and
   is dropped before it is decided.
 
-Both searches end at bounds the paper proves, read from
+Both answers rest on bounds the paper proves, read from
 `sda.closed_forms`. `min_eta_star` tries sizes from the combinatorial floor
 up to greedy's eta: greedy's array is a feasible support of that size and
 the canonical family meets its orbit, so the search returns by then.
 `min_eta_equal` needs M*eta/N integral, so N/gcd(N, M) divides eta, and
-the equal-size array covers at that eta, so it is the one size searched.
+the equal-size array covers at that eta, so it is the answer and its
+columns are the witness, with nothing searched.
 `MAX_SERVERS` caps N at 10 as the runtime bound: the candidate count
 explodes beyond that, and these solvers certify bounds, not scale.
 """
@@ -48,7 +49,7 @@ explodes beyond that, and these solvers certify bounds, not scale.
 from fractions import Fraction
 from itertools import combinations
 
-from .sda import closed_forms
+from .sda import build_equal_size, closed_forms
 
 Subset = tuple[int, ...]
 
@@ -349,38 +350,9 @@ def min_eta_equal(n: int, m: int):
     server exactly M*eta/N times (all group fractions equal 1/eta).
 
     That eta is N/gcd(N, M), `sda.closed_forms`' eta_equal (module
-    docstring); the witness is the depth-first search's first multiset
-    covering every server M/gcd(N, M) times.
+    docstring), and the witness is the paper's equal-size array: its
+    N/gcd(N, M) distinct cyclic windows hold every server M/gcd(N, M)
+    times, a cover `sda.StorageDesignArray` validates.
     """
     _check_scale(n, m)
-    g, eta = closed_forms(n, m)[:2]
-    universe = list(combinations(range(1, n + 1), m))
-    return eta, _equal_cover(universe, n, eta, m // g)
-
-
-def _equal_cover(universe: list[Subset], n: int, picks: int, target: int):
-    """Multiset of `picks` subsets covering each server exactly `target`
-    times, or None. Chosen indices are nondecreasing, so each multiset is
-    visited once."""
-    deficit = [target] * n
-    chosen: list[Subset] = []
-
-    def dfs(start: int, left: int) -> bool:
-        if left == 0:
-            return not any(deficit)
-        if max(deficit) > left:
-            return False
-        for j in range(start, len(universe)):
-            s = universe[j]
-            if all(deficit[i - 1] > 0 for i in s):
-                for i in s:
-                    deficit[i - 1] -= 1
-                chosen.append(s)
-                if dfs(j, left - 1):
-                    return True
-                chosen.pop()
-                for i in s:
-                    deficit[i - 1] += 1
-        return False
-
-    return list(chosen) if dfs(0, picks) else None
+    return closed_forms(n, m)[1], list(build_equal_size(n, m).column_sets)

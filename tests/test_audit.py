@@ -379,6 +379,26 @@ class TestConditionsAudit:
         slow = conditions_audit(4, 2)
         assert (slow.measured, slow.detail) == (check.measured, check.detail)
 
+    @pytest.mark.parametrize("m, k, count", [(2, 2, 2), (3, 2, 9), (2, 3, 12), (3, 3, 54)])
+    def test_spare_bit_breaks_residual_identity(self, monkeypatch, m, k, count):
+        # `Answer` takes any value that fits its whole bytes, so a faulty
+        # `answer` can set bit K*(M-1), above every coefficient block: a
+        # row holding it differs from its round's other rows outside every
+        # pair of blocks, so the whole-file check must not clear the file
+        def spare(query, storage):
+            reply = answer(query, storage)
+            if reply.value is None or query[0]:
+                return reply
+            return Answer(reply.value | 1 << k * (m - 1), reply.size)
+
+        monkeypatch.setattr(audit, "answer", spare)
+        expected = (count, f"residual-identity violated for file 1, base {(0,) * k}")
+        check = conditions_audit(m, k)
+        assert (check.measured, check.detail) == expected
+        monkeypatch.setattr(audit._Conditions, "_clean", lambda *args: False)
+        slow = conditions_audit(m, k)
+        assert (slow.measured, slow.detail) == expected
+
     @pytest.mark.parametrize("m, k", [(2, 2), (2, 5), (3, 2), (3, 4), (4, 3), (5, 2), (6, 2), (7, 2)])
     def test_only_a_faulty_file_is_read_round_by_round(self, monkeypatch, m, k):
         # at K >= 2 the whole-file statistics clear every honest file, on
