@@ -35,9 +35,8 @@ The rounds hold only M^K distinct queries. The walk answers each once
 (once per audited scheme too: `run_full_audit`'s four folds share it) into
 one table of replies, in `enumerate_realizations` order. A query and its
 position in that order determine each other, so each file is one list
-of table positions, one per server per round, in round order. An honest
-query of file theta differs from its base only at theta, so honest
-positions are cut by rotated list slices, building and hashing no query;
+of table positions, one per server per round, in round order. Honest
+positions are `sfpir.query_positions`, the query rule's whole-file form;
 any other builder's queries are looked up in a map from query to
 position. Each fold's `close` reads the replies it needs in place, at
 the file's positions, a round's M at a time where it checks rounds. Each
@@ -54,6 +53,13 @@ round:
   either, and every file at K = 1, is read a round at a time by the
   definition of the three conditions.
 
+The honest walk is linked to the builder `retrieve` runs: per file,
+`sfpir.make_queries` (looked up at call time) is called at the base with
+1 at theta and 0 elsewhere, where a dropped offset shows, and a mismatch
+with `query_positions` sends that file through the builder itself. That
+is one linked base per file, not an audit of every base; Tier-1 proves
+the two equal on every base where M^K <= 256.
+
 The query-builder hooks exist so the audits themselves can be tested:
 deliberately broken builders (offset dropped from the wanted coordinate,
 two servers sharing a shift) must make the privacy and independence
@@ -64,7 +70,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import count, repeat
 from operator import or_
 
 from . import sda, sfpir
@@ -75,7 +81,7 @@ from .scheme import (
     average_download,
     retrieve,
 )
-from .sfpir import ProtocolViolation, answer, decode, enumerate_realizations, make_queries
+from .sfpir import ProtocolViolation, answer, decode, enumerate_realizations, make_queries, query_positions
 
 
 @dataclass(frozen=True)
@@ -165,32 +171,12 @@ def _basis(m: int, k: int) -> sfpir.GroupStorage:
     return sfpir.GroupStorage(m, tuple(tuple(bits[f * width : (f + 1) * width]) for f in range(k)))
 
 
-def _file_order(table: list, theta: int, m: int) -> list:
-    """File theta's flat list cut from `table`, which has one entry per query
-    in `enumerate_realizations` order. With stride = M^(K-theta), server s's
-    queries in base order are each block of M*stride entries rotated left
-    by s*stride; each block, or each column where blocks outnumber columns,
-    is one slice into every M-th entry from s."""
-    n = len(table)
-    width = n // m ** (theta - 1)  # M * stride
-    flat = [None] * (m * n)
-    for s in range(m):
-        shift = s * width // m
-        if n <= width * width:
-            for lo in range(0, n, width):
-                flat[lo * m + s : (lo + width) * m : m] = table[lo + shift : lo + width] + table[lo : lo + shift]
-        else:
-            for column in range(width):
-                flat[column * m + s :: width * m] = table[(column + shift) % width :: width]
-    return flat
-
-
 def _builder_order(query_fn, theta: int, m: int, index: dict, basis: sfpir.GroupStorage) -> list:
-    """File theta's table positions in round order, from the rounds of the
-    builder `query_fn`; `index` maps each of the M^K queries to its
-    position. A round other than M queries, or a query other than a tuple,
-    is refused with ValueError: the folds regroup the lists M at a time,
-    and `index` hashes every query. A tuple outside the table goes to
+    """File theta's table positions in round order, from the builder
+    `query_fn` called on every base; `index` maps each of the M^K queries
+    to its position. A round other than M queries, or a query other than a
+    tuple, is refused with ValueError: the folds regroup the lists M at a
+    time, and `index` hashes every query. A tuple outside the table goes to
     `answer`, which refuses it."""
     order = []
     for base in enumerate_realizations(m, basis.k):
@@ -208,21 +194,33 @@ def _builder_order(query_fn, theta: int, m: int, index: dict, basis: sfpir.Group
     return order
 
 
+def _linked(theta: int, m: int, k: int, positions: list) -> bool:
+    """Whether `sfpir.make_queries`, looked up now, sends at the base with 1
+    at theta and 0 elsewhere the M queries whose mixed-radix positions
+    `positions` holds for that round: one linked base, not every base."""
+    base = (0,) * (theta - 1) + (1,) + (0,) * (k - theta)
+    start = m * m ** (k - theta)  # the base's position is its round's index
+    held = [tuple(p // m**e % m for e in reversed(range(k))) for p in positions[start : start + m]]
+    return sfpir.make_queries(theta, base, m) == held
+
+
 def _walk(m: int, k: int, folds, query_fn=None) -> list:
     """Walk every round of one (M, K) group once, after checking its bill,
     and return each fold's `finish()`. The M^K queries are answered once,
     into one table in `enumerate_realizations` order, which every fold's
     `close(theta, m, positions, replies)` reads in place at each file's
-    positions, file after file, in round order: cut by `_file_order` for
-    honest queries (`query_fn` None), else looked up by `_builder_order`."""
+    positions, file after file, in round order: `query_positions` for
+    honest queries (`query_fn` None) that `_linked` ties to
+    `sfpir.make_queries`, else looked up by `_builder_order`."""
     check_bill(m, k)
     basis = _basis(m, k)
     replies = list(map(answer, enumerate_realizations(m, k), repeat(basis)))
-    table = list(range(len(replies)))
-    index = None if query_fn is None else dict(zip(enumerate_realizations(m, k), table))
+    index = None
     for theta in range(1, k + 1):
-        positions = (_file_order(table, theta, m) if query_fn is None
-                     else _builder_order(query_fn, theta, m, index, basis))
+        positions = None if query_fn else query_positions(theta, m, k)
+        if positions is None or not _linked(theta, m, k, positions):
+            index = index or dict(zip(enumerate_realizations(m, k), count()))
+            positions = _builder_order(query_fn or sfpir.make_queries, theta, m, index, basis)
         for fold in folds:
             fold.close(theta, m, positions, replies)
         del positions  # hold one file's positions, not two while the next file's are cut

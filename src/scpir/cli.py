@@ -39,6 +39,13 @@ _BUILDERS = {
 MAX_ROUND_SYMBOLS = 2**15
 MAX_LIBRARY_BYTES = 2**24
 
+# `scpir analyze --n-max N` writes (N-1)*N/2 rows, one N's rows at a time, so
+# its memory stays flat (about 17 MiB) and its time grows with the rows: whole
+# runs (Python 3.11, shared 2-CPU host) took 1.0 s at N = 600 (179,700 rows),
+# 4.3 s at N = 1448 (1,047,628 rows, the largest under this bound) and 8.6 s
+# at N = 2048.
+MAX_ANALYZE_ROWS = 2**20
+
 
 def _output(out: str | None):
     """The --out file opened for writing, or stdout, which stays open."""
@@ -138,6 +145,10 @@ def analysis_row(n: int, m: int) -> str:
 def cmd_analyze(args) -> int:
     if args.n_max < 2:
         raise ValueError("n-max must be at least 2")
+    rows = (args.n_max - 1) * args.n_max // 2
+    if rows > MAX_ANALYZE_ROWS:
+        raise ValueError(f"analyze --n-max {args.n_max} writes (N-1)*N/2 = {rows} rows, "
+                         f"over the bound of {MAX_ANALYZE_ROWS}")
     with _output(args.out) as fh:
         fh.write(ANALYZE_HEADER + "\n")
         for n in range(2, args.n_max + 1):

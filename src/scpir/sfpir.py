@@ -4,10 +4,12 @@ One instance runs over a group of M servers (relabeled 0..M-1) that each
 hold all K packet sets. Every file is split into M-1 real packets; a
 virtual all-zero packet at index M-1 is never stored or sent. The user
 draws one base vector q uniformly from [0:M-1]^K and sends server m the
-base vector with the wanted file's coordinate shifted by m modulo M. A
-server adds up the packets its query points at (index M-1 contributes
-nothing) and stays silent when every coordinate points at the virtual
-packet. Exactly one server's shifted coordinate lands on M-1; its answer
+base vector with the wanted file's coordinate shifted by m modulo M. That
+rule is stated here alone: `make_queries` builds one round's queries, and
+`query_positions` gives every round of one file as positions in
+`enumerate_realizations` order, the form the audit walks. A server adds
+up the packets its query points at (index M-1 contributes nothing) and
+stays silent when every coordinate points at the virtual packet. Exactly one server's shifted coordinate lands on M-1; its answer
 is the interference term shared by all the others, which then peel out
 the M-1 wanted packets.
 
@@ -147,16 +149,37 @@ def _check_round(theta: int, base: tuple[int, ...], m: int) -> None:
 
 def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
     """Queries for servers 0..M-1: the base vector with coordinate theta
-    (1-based) shifted by the server index modulo M. The audit walk's honest
-    route calls no builder: it cuts each file's positions among the M^K
-    queries from their `enumerate_realizations` order instead."""
+    (1-based) shifted by the server index modulo M. Every base entry must
+    be an int: a float or bool equal to an index is refused with ValueError
+    rather than copied into the queries."""
     _check_round(theta, base, m)
-    vec, wanted, queries = list(base), theta - 1, []
-    shift = base[wanted]
-    for shifted in range(shift, shift + m):  # one list, overwritten at the wanted coordinate
-        vec[wanted] = shifted % m
-        queries.append(tuple(vec))
-    return queries
+    if not all(type(q) is int for q in base):
+        raise ValueError(f"base vector {base} has entries other than ints")
+    head, shift, tail = base[: theta - 1], base[theta - 1], base[theta:]
+    return [head + ((shift + s) % m,) + tail for s in range(m)]
+
+
+def query_positions(theta: int, m: int, k: int) -> list[int]:
+    """`make_queries(theta, base, m)` applied to every base in
+    `enumerate_realizations(m, k)` order, each query written as its own
+    position in that order: M positions per round, building and hashing no
+    query. With stride = M^(K-theta), server s's positions in base order
+    are each block of M*stride positions rotated left by s*stride; each
+    block, or each column where blocks outnumber columns, is one slice into
+    every M-th entry from s."""
+    table = list(range(m**k))
+    n = len(table)
+    width = n // m ** (theta - 1)  # M * stride
+    flat = [None] * (m * n)
+    for s in range(m):
+        shift = s * width // m
+        if n <= width * width:
+            for lo in range(0, n, width):
+                flat[lo * m + s : (lo + width) * m : m] = table[lo + shift : lo + width] + table[lo : lo + shift]
+        else:
+            for column in range(width):
+                flat[column * m + s :: width * m] = table[(column + shift) % width :: width]
+    return flat
 
 
 def answer(query: tuple[int, ...], storage: GroupStorage) -> Answer:

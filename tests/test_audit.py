@@ -868,6 +868,29 @@ class TestFullAudit:
         assert first.overall
         assert first.table() == second.table()
 
+    @pytest.mark.parametrize(
+        "builder, failing",
+        [(queries_missing_offset, {"privacy", "correctness"}),
+         (queries_duplicate_shift, {"correctness", "conditions"})],
+    )
+    def test_a_broken_make_queries_fails_the_audit(self, monkeypatch, builder, failing):
+        # the honest walk is linked to the builder `retrieve` runs, looked up
+        # on `sfpir` at call time, so a broken one is walked and judged
+        instance = build_instance(9, 4, 3)
+        monkeypatch.setattr("scpir.sfpir.make_queries", builder)
+        report = run_full_audit(*instance)
+        assert {c.name for c in report.checks if not c.passed} == failing
+        assert not report.overall
+
+    def test_honest_walk_links_one_base_per_file(self, monkeypatch):
+        # one call of `sfpir.make_queries` per file, at the base with 1 at
+        # theta: the link is one base per file, not an audit of every base
+        calls = []
+        real = make_queries
+        monkeypatch.setattr("scpir.sfpir.make_queries", lambda *args: calls.append(args) or real(*args))
+        assert run_full_audit(*build_instance(9, 4, 3)).overall
+        assert calls == [(1, (1, 0, 0), 4), (2, (0, 1, 0), 4), (3, (0, 0, 1), 4)]
+
     def test_table_lists_each_failure_detail(self):
         layout, plan, library = build_instance(2, 2, 2)
         failed = privacy_audit(layout, library, query_fn=queries_missing_offset)

@@ -322,6 +322,28 @@ class TestAnalyze:
         assert stdout == ""
         assert "n-max must be at least 2" in stderr
 
+    def test_n_max_over_the_row_bound_refused_at_once(self, capsys, tmp_path):
+        # priced from the count, before the --out file is opened or a row built
+        out = tmp_path / "table.csv"
+        code, stdout, stderr = run(capsys, "analyze", "--n-max", str(10**18), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        rows = (10**18 - 1) * 10**18 // 2
+        assert stderr == (f"error: analyze --n-max {10**18} writes (N-1)*N/2 = {rows} rows, "
+                          f"over the bound of {cli.MAX_ANALYZE_ROWS}\n")
+        assert not out.exists()
+
+    def test_row_bound_counts_every_row(self, capsys, monkeypatch):
+        # --n-max 5 writes exactly 10 rows, so a bound of 10 admits it and
+        # refuses --n-max 6 (15 rows); the real bound admits --n-max 600
+        assert (600 - 1) * 600 // 2 <= cli.MAX_ANALYZE_ROWS
+        monkeypatch.setattr(cli, "MAX_ANALYZE_ROWS", 10)
+        code, stdout, _ = run(capsys, "analyze", "--n-max", "5")
+        assert (code, len(stdout.splitlines())) == (0, 1 + 10)
+        code, stdout, stderr = run(capsys, "analyze", "--n-max", "6")
+        assert (code, stdout) == (2, "")
+        assert "= 15 rows, over the bound of 10" in stderr
+
 
 @pytest.mark.parametrize(
     "command", [["simulate", "--theta", "1"], ["audit"], ["simulate", "--theta", "1", "--l-mult", "0"]]

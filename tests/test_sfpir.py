@@ -20,6 +20,7 @@ from scpir.sfpir import (
     decode,
     enumerate_realizations,
     make_queries,
+    query_positions,
     random_base_vector,
 )
 
@@ -52,6 +53,26 @@ class TestMakeQueries:
         # the same rule, and the same message, as GroupStorage
         with pytest.raises(ValueError, match="^need M >= 2, got M=1$"):
             make_queries(1, (0,), 1)
+
+    @pytest.mark.parametrize("base", [(0, 1.0), (0, True), (False, 1), (2.0, 0)])
+    def test_refuses_entries_other_than_ints(self, base):
+        # equal to an index, so inside the range, but not copied into queries
+        with pytest.raises(ValueError, match=re.escape(f"base vector {base} has entries other than ints")):
+            make_queries(1, base, 3)
+
+
+def test_query_positions_are_make_queries_over_every_base():
+    # the audit walks `query_positions`; it must be `make_queries` on every
+    # base, written as positions in `enumerate_realizations` order, for
+    # every file of every (M, K) with M^K <= 256
+    for m in range(2, 257):
+        k = 1
+        while m**k <= 256:
+            index = {q: i for i, q in enumerate(enumerate_realizations(m, k))}
+            for theta in range(1, k + 1):
+                sent = [index[q] for base in enumerate_realizations(m, k) for q in make_queries(theta, base, m)]
+                assert query_positions(theta, m, k) == sent, (theta, m, k)
+            k += 1
 
 
 class TestAnswer:
