@@ -26,12 +26,13 @@ Everything is pure and exact; alpha values are `fractions.Fraction`.
 
 Arrays and alphas are valid by construction: `StorageDesignArray` runs
 `validate` and `AlphaAssignment` runs `check` when made, so each fact is
-checked once, and every function that reads one trusts it. The column
-counts `validate` makes stay on the array as its `ColumnProfile`.
+checked once, and every function that reads one trusts it. `validate`
+reads the columns once, in column order, and the column counts it makes
+stay on the array as its `ColumnProfile`. Every construction holds one
+tuple per distinct column, shared by its repeats.
 """
 
 import re
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,31 +134,33 @@ def require_params(n: int, m: int) -> None:
 def validate(sda: StorageDesignArray) -> ColumnProfile:
     """Raise ValueError unless the array has N/gcd(N,M) columns, each a
     sorted tuple of exactly M distinct servers in 1..N, and stars every
-    server in exactly M/gcd(N,M) columns. A star-count message names the
-    first violation. Returns the column counts it checked, as the array's
+    server in exactly M/gcd(N,M) columns. Columns are read once, in column
+    order, and a repeat of a column already read is only counted, so a
+    message names the first bad column; rows are checked once every column
+    is good. Returns the column counts it checked, as the array's
     `ColumnProfile`."""
     require_params(sda.n, sda.m)
     g = gcd(sda.n, sda.m)
     if sda.columns != sda.n // g:
         raise ValueError(f"array has {sda.columns} columns, expected {sda.n // g}")
-    # repeated columns share one check; the first bad one in first-occurrence
-    # order is also the first bad column in column order
     invalid = f"not a valid ({sda.n},{sda.m}) storage design array: "
-    not_canonical = "column {} is not a sorted tuple of distinct servers in 1..{}"
-    try:
-        counts = Counter(sda.column_sets)
-    except TypeError:  # an unhashable column, such as a list, is no tuple of servers
-        j = next(j for j, c in enumerate(sda.column_sets, 1) if not _int_tuple(c))
-        raise ValueError(not_canonical.format(j, sda.n)) from None
+    counts = {}  # distinct column -> multiplicity, in first-occurrence order
+    for j, column in enumerate(sda.column_sets, 1):
+        try:
+            count = counts.get(column, 0)
+        except TypeError:  # unhashable, such as a list: the tuple check refuses it
+            count = 0
+        if not count:  # not read before, so checked where it stands
+            canonical = (isinstance(column, tuple) and all(isinstance(s, int) for s in column)
+                         and list(column) == sorted(set(column)))
+            # sorted and distinct, so its first and last servers bound the rest
+            if not canonical or column and not 1 <= column[0] <= column[-1] <= sda.n:
+                raise ValueError(f"column {j} is not a sorted tuple of distinct servers in 1..{sda.n}")
+            if len(column) != sda.m:
+                raise ValueError(invalid + f"column {j} has {len(column)} stars, expected {sda.m}")
+        counts[column] = count + 1
     stars = [0] * (sda.n + 1)
     for column, count in counts.items():
-        canonical = _int_tuple(column) and list(column) == sorted(set(column))
-        # sorted and distinct, so its first and last servers bound the rest
-        if not canonical or column and not 1 <= column[0] <= column[-1] <= sda.n:
-            raise ValueError(not_canonical.format(sda.column_sets.index(column) + 1, sda.n))
-        if len(column) != sda.m:
-            j = sda.column_sets.index(column) + 1
-            raise ValueError(invalid + f"column {j} has {len(column)} stars, expected {sda.m}")
         for s in column:
             stars[s] += count
     per_row = sda.m // g
@@ -166,10 +169,6 @@ def validate(sda: StorageDesignArray) -> ColumnProfile:
             problem = f"row {server} has {stars[server]} stars, expected {per_row}"
             raise ValueError(invalid + problem)
     return ColumnProfile(sda.n, sda.m, tuple(counts), tuple(counts.values()))
-
-
-def _int_tuple(column) -> bool:
-    return isinstance(column, tuple) and all(isinstance(s, int) for s in column)
 
 
 def column_profile(sda: StorageDesignArray) -> ColumnProfile:
@@ -280,12 +279,12 @@ def build_q_array(m: int) -> StorageDesignArray:
 
 def opposite(sda: StorageDesignArray) -> StorageDesignArray:
     """Swap stars and blanks: an (N, M) array becomes an (N, N-M) array with
-    the same distinct-column count."""
+    the same distinct-column count, each distinct column flipped once."""
     if sda.m == sda.n:
         raise ValueError("opposite of a full-replication array has empty columns")
     servers = frozenset(range(1, sda.n + 1))
-    flipped = (tuple(sorted(servers.difference(c))) for c in sda.column_sets)
-    return StorageDesignArray(sda.n, sda.n - sda.m, tuple(flipped))
+    flipped = {c: tuple(sorted(servers.difference(c))) for c in sda.profile.subsets}
+    return StorageDesignArray(sda.n, sda.n - sda.m, tuple(flipped[c] for c in sda.column_sets))
 
 
 def improved_family(n: int, m: int) -> tuple[int, bool, int] | None:
@@ -319,7 +318,8 @@ def build_improved(n: int, m: int) -> StorageDesignArray:
     for block in range(d - 2):
         columns += [tuple(range(block * m + 1, block * m + m + 1))] * m
     offset = (d - 2) * m
-    columns += [tuple(s + offset for s in column) for column in tail.column_sets]
+    shifted = {c: tuple(s + offset for s in c) for c in tail.profile.subsets}
+    columns += [shifted[c] for c in tail.column_sets]
     return StorageDesignArray(n, m, tuple(columns))
 
 

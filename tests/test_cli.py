@@ -65,6 +65,25 @@ class TestBuild:
         assert stdout == ""
         assert "5000000000 cells" in stderr
 
+    @pytest.mark.parametrize("method", ["equal", "greedy"])
+    def test_over_entry_bound_refused_before_building(self, capsys, monkeypatch, method):
+        def no_build(*args):
+            raise AssertionError("build ran before the entry bound was checked")
+
+        monkeypatch.setitem(cli._BUILDERS, method, no_build)
+        code, stdout, stderr = run(capsys, "build", "--n", "4000", "--m", "3999", "--method", method)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == (f"error: the {method} (4000, 3999) array holds eta*M = 4000*3999 = "
+                          f"15996000 server entries, over the bound of {cli.MAX_BUILD_ENTRIES}\n")
+
+    def test_entry_bound_prices_improved_by_its_eta(self, capsys, monkeypatch):
+        # improved (6001, 3000) holds 1503*3000 entries where greedy holds 6001*3000
+        monkeypatch.setattr(cli, "MAX_BUILD_ENTRIES", 1503 * 3000 - 1)
+        code, _, stderr = run(capsys, "build", "--n", "6001", "--m", "3000", "--method", "improved")
+        assert code == 2
+        assert "holds eta*M = 1503*3000 = 4509000 server entries" in stderr
+
     @pytest.mark.parametrize("n, m", [(0, 0), (3, 4), (5, 0)])
     def test_parameter_range_refused_before_cell_bound(self, capsys, n, m):
         code, _, stderr = run(capsys, "build", "--n", str(n), "--m", str(m))

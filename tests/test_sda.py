@@ -148,6 +148,18 @@ class TestValidate:
         with pytest.raises(ValueError, match=re.escape(message)):
             sda.StorageDesignArray(4, 2, columns)
 
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (((2, 1), [3, 4]), "column 1 is not a sorted tuple of distinct servers in 1..4"),
+            (((1,), [3, 4]), "storage design array: column 1 has 1 stars, expected 2"),
+        ],
+    )
+    def test_first_bad_column_in_column_order(self, columns, message):
+        # column 2 cannot be hashed, yet column 1 is read and refused first
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sda.StorageDesignArray(4, 2, columns)
+
 
 class TestColumnProfile:
     def test_greedy_9_4(self):
@@ -166,7 +178,7 @@ class TestColumnProfile:
 
     def test_counted_once_when_made(self, monkeypatch):
         array = sda.build_greedy(12, 5)
-        monkeypatch.setattr(sda, "Counter", None)  # a recount would call it
+        monkeypatch.setattr(sda, "validate", None)  # a recount would call it
         assert sda.column_profile(array) is array.profile
 
 
@@ -482,3 +494,9 @@ def test_layouts_match_pinned_digest():
         digest.update(sda.render_sda(array).encode())
         digest.update(f"{profile.subsets!r} {profile.multiplicities!r}\n".encode())
     assert digest.hexdigest() == PINNED_LAYOUT_DIGEST
+
+
+def test_one_tuple_per_distinct_column():
+    # repeated columns share one tuple, so an array holds eta*M server entries
+    for name, array in pinned_arrays():
+        assert len({id(c) for c in array.column_sets}) == array.profile.eta, (name, array.n, array.m)
