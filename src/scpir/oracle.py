@@ -17,9 +17,10 @@ groups through each server, and the phase-1 simplex under Bland's rule is
 fraction-free (Bareiss, Math. Comp. 1968). `Fraction` appears only in the
 returned witness, and the results are certificates, not estimates. The
 candidates are a canonical family that meets every relabeling orbit of
-supports, drawn depth-first with each prefix's server union carried as a
-bitmask; that is sound because of two symmetries of the per-server
-equalities sum_{s ∋ i} alpha_s = M/N, and one forced deduction:
+supports, drawn depth-first over one server bitmask per group; M = N, full
+replication, is one group and needs no draw. The family is sound because
+of two symmetries of the per-server equalities sum_{s ∋ i} alpha_s = M/N,
+and one forced deduction:
 
 * Relabeling. Permuting server labels maps feasible supports to feasible
   supports, so every feasible support has an image that contains [M] and,
@@ -232,12 +233,13 @@ def _check_scale(n: int, m: int) -> None:
 
 def _canonical_supports(n: int, m: int, size: int):
     """Size-`size` supports of M-subsets of 1..N, one or more per relabeling
-    orbit of supports that cover every server.
+    orbit of supports that cover every server. Callers pass M < N: at
+    M = N the one group [N] is the whole support (`min_eta_star`).
 
-    For M < N any support of size >= 2 can be relabeled so that it holds
-    [M] and, with j the largest overlap any other group has with [M], the
-    group {1..j} ∪ {M+1..2M-j}: permute inside [M] and inside its
-    complement, which keeps every overlap with [M]. So j runs from M-1 down
+    Any support of size >= 2 can be relabeled so that it holds [M] and,
+    with j the largest overlap any other group has with [M], the group
+    {1..j} ∪ {M+1..2M-j}: permute inside [M] and inside its complement,
+    which keeps every overlap with [M]. So j runs from M-1 down
     to max(0, 2M-N), and the other `size` - 2 groups are drawn only from
     groups meeting [M] in at most j servers. Two filters drop supports
     that unit propagation would reject anyway: coverage drops a support
@@ -245,55 +247,47 @@ def _canonical_supports(n: int, m: int, size: int):
     each holding a server no other group holds, share a server
     (`_forced_clash`).
 
-    The draw walks the pool depth-first in `combinations` order, carrying
-    each prefix's union of server bitmasks and the mask of servers two or
-    more of its groups hold, so the last pick's coverage test is one AND
-    with the servers its prefix leaves uncovered. A prefix is dropped whole
-    when its uncovered servers outnumber the M per pick that its remaining
-    picks can add: every completion of it would miss a server. The clash
-    test runs only on complete supports, since a later pick can cover a
-    prefix's private server. So the candidates and their order are those
-    of `combinations` filtered by both rules.
+    A group is held only as its server bitmask; `group` maps it back to its
+    server tuple when a candidate is yielded. The draw walks the pool
+    depth-first in `combinations` order, carrying each prefix's masks,
+    their union and the mask of servers two or more of them hold, so the
+    last pick's coverage test is one AND with the servers its prefix
+    leaves uncovered. A prefix is dropped whole when its uncovered servers
+    outnumber the M per pick that its remaining picks can add: every
+    completion of it would miss a server. The clash test runs only on
+    complete supports, since a later pick can cover a prefix's private
+    server. So the candidates and their order are those of `combinations`
+    filtered by both rules.
     """
-    universe = list(combinations(range(1, n + 1), m))
-    if m == n:
-        if size == 1:
-            yield universe
-        return
-    first = universe[0]
+    group = {sum(1 << (i - 1) for i in s): s for s in combinations(range(1, n + 1), m)}
+    first = (1 << m) - 1
     full = (1 << n) - 1
-    mask = {s: sum(1 << (i - 1) for i in s) for s in universe}
     for j in range(m - 1, max(0, 2 * m - n) - 1, -1):
-        second = tuple(range(1, j + 1)) + tuple(range(m + 1, 2 * m - j + 1))
-        pool = [s for s in universe if s != second and sum(i <= m for i in s) <= j]
-        masks = [mask[s] for s in pool]
+        second = ((1 << j) - 1) | ((1 << (m - j)) - 1) << m  # {1..j} ∪ {M+1..2M-j}
+        pool = [g for g in group if g != second and (g & first).bit_count() <= j]
 
-        def extend(
-            start: int, covered: int, multi: int, left: int, picked: list[Subset], held: list[int]
-        ):
+        def extend(start: int, covered: int, multi: int, left: int, held: list[int]):
             uncovered = full & ~covered
             if uncovered.bit_count() > left * m:
                 return  # each pick covers at most M more servers
             if left == 0:
                 if not _forced_clash(held, multi, full):
-                    yield picked
+                    yield list(map(group.get, held))
             elif left == 1:  # the last pick must cover every uncovered server
                 for k in range(start, len(pool)):
-                    g = masks[k]
+                    g = pool[k]
                     if g & uncovered == uncovered and not _forced_clash(
                         [*held, g], multi | (covered & g), full
                     ):
-                        yield [*picked, pool[k]]
+                        yield [*map(group.get, held), group[g]]
             else:
                 for k in range(start, len(pool) - left + 1):
-                    g = masks[k]
+                    g = pool[k]
                     yield from extend(
-                        k + 1, covered | g, multi | (covered & g), left - 1,
-                        [*picked, pool[k]], [*held, g],
+                        k + 1, covered | g, multi | (covered & g), left - 1, [*held, g]
                     )
 
-        a, b = mask[first], mask[second]
-        yield from extend(0, a | b, a & b, size - 2, [first, second], [a, b])
+        yield from extend(0, first | second, first & second, size - 2, [first, second])
 
 
 def _forced_clash(held: list[int], multi: int, full: int) -> bool:
@@ -325,9 +319,12 @@ def min_eta_star(n: int, m: int):
     witness group is complemented: server i's load becomes
     1 - (N-M)/N = M/N with the fractions unchanged. No feasible size up to
     greedy's eta raises RuntimeError: the oracle and the closed form
-    disagree.
+    disagree. M = N is full replication: the one group [N], at fraction 1,
+    with nothing searched.
     """
     _check_scale(n, m)
+    if m == n:
+        return 1, {tuple(range(1, n + 1)): Fraction(1)}
     dual = 2 * m > n and n - m >= 2
     side = n - m if dual else m
     _, _, greedy, _, lower, _ = closed_forms(n, m)

@@ -28,8 +28,9 @@ Arrays and alphas are valid by construction: `StorageDesignArray` runs
 `validate` and `AlphaAssignment` runs `check` when made, so each fact is
 checked once, and every function that reads one trusts it. `validate`
 reads the columns once, in column order, and the column counts it makes
-stay on the array as its `ColumnProfile`. Every construction holds one
-tuple per distinct column, shared by its repeats.
+stay on the array as its `ColumnProfile`. Every construction, and every
+array `parse_sda` reads, holds one tuple per distinct column, shared by
+its repeats.
 """
 
 import re
@@ -420,4 +421,5 @@ def parse_sda(text: str) -> StorageDesignArray:
             raise ValueError(f"row {server} contains characters other than '*' and '.'")
         for star in re.finditer(r"\*", line):
             columns[star.start()].append(server)
-    return StorageDesignArray(n, m, tuple(map(tuple, columns)))
+    seen = {}  # column -> the first tuple built for it, shared by its repeats
+    return StorageDesignArray(n, m, tuple(seen.setdefault(c, c) for c in map(tuple, columns)))

@@ -141,8 +141,9 @@ class TestBitmaskKernels:
                     assert pending is None, (n, m, size)
 
     def test_decided_supports_pinned(self):
-        # coverage alone would hand _solve_support 1,058 and 67 supports
-        for n, m, decided in ((7, 3, 351), (7, 5, 1)):
+        # coverage alone would hand _solve_support 1,058 and 67 supports at
+        # (7, 3) and (7, 5); M = N is answered without drawing any
+        for n, m, decided in ((7, 3, 351), (7, 5, 1), (8, 3, 31), (10, 4, 118), (6, 6, 0)):
             spy = mock.patch.object(oracle, "_solve_support", wraps=oracle._solve_support)
             with spy as solve:
                 min_eta_star(n, m)

@@ -497,6 +497,14 @@ def test_layouts_match_pinned_digest():
 
 
 def test_one_tuple_per_distinct_column():
-    # repeated columns share one tuple, so an array holds eta*M server entries
-    for name, array in pinned_arrays():
+    # repeated columns share one tuple, so an array holds eta*M server entries;
+    # so does an array read back from its text form
+    def arrays():
+        for name, array in pinned_arrays():
+            yield name, array
+            if array.n <= 16:
+                yield f"parsed-{name}", sda.parse_sda(sda.render_sda(array))
+        yield "parsed-greedy", sda.parse_sda(sda.render_sda(sda.build_greedy(1000, 13)))
+
+    for name, array in arrays():
         assert len({id(c) for c in array.column_sets}) == array.profile.eta, (name, array.n, array.m)
