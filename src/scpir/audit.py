@@ -549,8 +549,8 @@ def conditions_audit(m: int, k: int, query_fn=None) -> AuditCheck:
 
 
 def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
-    """Sub-packetization of each built construction versus its closed form
-    in `sda.closed_forms`, the combinatorial floor, and the worst-case gap."""
+    """Each construction's sub-packetization, built within sda.MAX_BUILD_ENTRIES,
+    versus `sda.closed_forms`: its closed form, the floor and the worst-case gap."""
     _, equal_form, greedy_form, improved_form, lower, bound = sda.closed_forms(n, m)
 
     def compare(name, build, closed_form, tag) -> tuple[int, AuditCheck]:
@@ -599,12 +599,12 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
 
 
 def run_full_audit(layout: PacketLayout, plan: StoragePlan, library: FileLibrary) -> AuditReport:
-    """Run every audit on the scheme given, from `scheme.plan_storage` on
-    any array or group fractions: storage, the four round folds over one
-    walk (refused by `check_bill` first) and the constructions'
-    sub-packetization at the layout's (N, M), with K the plan's."""
+    """Run every audit on the scheme `plan_storage` made from any array or
+    group fractions, K the plan's: storage, the constructions' sub-packetization
+    at the layout's (N, M), built (or refused) before the walk, and the four
+    round folds over one walk, refused by `check_bill` first."""
     m, k = layout.m, plan.k
     folds = [_Privacy(k), _Correctness(plan, layout, library, _as_sent),
              _Rate(layout, k), _Conditions(m, k)]
-    return AuditReport([storage_audit(plan, layout), *_walk(m, k, folds),
-                        *subpacketization_audit(layout.n, m)])
+    sizes = subpacketization_audit(layout.n, m)  # before the walk, in the table's last rows
+    return AuditReport([storage_audit(plan, layout), *_walk(m, k, folds), *sizes])

@@ -29,7 +29,6 @@ _BUILDERS = {
     "greedy": sda.build_greedy,
     "improved": sda.build_improved,
 }
-_ETA_FORM = {"equal": 1, "greedy": 2, "improved": 3}  # each builder's eta in `sda.closed_forms`
 
 
 # One retrieval over the greedy (N, M) array runs eta_recursion(N, M) rounds of
@@ -47,13 +46,6 @@ MAX_LIBRARY_BYTES = 2**24
 # at N = 2048.
 MAX_ANALYZE_ROWS = 2**20
 
-# A built array holds eta*M server entries, one tuple per distinct column, at
-# about 40 bytes each. Whole `scpir build` runs of greedy (N, N-1) (Python
-# 3.11, shared 2-CPU host) took 0.54 s and 50 MiB at N = 1000, 1.4 s and
-# 205 MiB at N = 2236 (4,997,460 entries, the largest under this bound) and
-# 2.5 s and 364 MiB at N = 3000; N = 10^4 would hold about 10^8 entries.
-MAX_BUILD_ENTRIES = 5 * 10**6
-
 
 def _output(out: str | None):
     """The --out file opened for writing, or stdout, which stays open."""
@@ -61,13 +53,7 @@ def _output(out: str | None):
 
 
 def cmd_build(args) -> int:
-    sda.check_renderable(args.n, args.m)  # refuse before building
-    closed_eta = sda.closed_forms(args.n, args.m)[_ETA_FORM[args.method]]  # None: the builder refuses
-    if closed_eta is not None and closed_eta * args.m > MAX_BUILD_ENTRIES:
-        raise ValueError(
-            f"the {args.method} ({args.n}, {args.m}) array holds eta*M = {closed_eta}*{args.m} = "
-            f"{closed_eta * args.m} server entries, over the bound of {MAX_BUILD_ENTRIES}"
-        )
+    sda.check_renderable(args.n, args.m)  # refuse before building; the builder prices its entries
     array = _BUILDERS[args.method](args.n, args.m)
     eta = sda.column_profile(array).eta
     with _output(args.out) as fh:

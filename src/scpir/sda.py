@@ -30,7 +30,8 @@ checked once, and every function that reads one trusts it. `validate`
 reads the columns once, in column order, and the column counts it makes
 stay on the array as its `ColumnProfile`. Every construction, and every
 array `parse_sda` reads, holds one tuple per distinct column, shared by
-its repeats.
+its repeats. Each builder, `opposite` included, refuses an array of over
+MAX_BUILD_ENTRIES server entries (eta*M) before making a column.
 """
 
 import re
@@ -196,9 +197,10 @@ def alpha_from_profile(profile: ColumnProfile) -> AlphaAssignment:
 
 def build_equal_size(n: int, m: int) -> StorageDesignArray:
     """Array whose column j stars the cyclic window of M servers starting
-    at (j-1)*M mod N; all N/gcd(N,M) columns are distinct."""
+    at (j-1)*M mod N; all N/gcd(N,M) columns are distinct, and priced first."""
     require_params(n, m)
-    windows = (tuple(sorted((j * m + i) % n + 1 for i in range(m))) for j in range(n // gcd(n, m)))
+    eta = _priced("equal", n, m, n // gcd(n, m))
+    windows = (tuple(sorted((j * m + i) % n + 1 for i in range(m))) for j in range(eta))
     return StorageDesignArray(n, m, tuple(windows))
 
 
@@ -215,11 +217,11 @@ def build_greedy(n: int, m: int) -> StorageDesignArray:
     and the (n-m, m) array follows on servers m+1..n. For m < n < 2m, the
     first n-m columns star servers 1..m and the (m, 2m-n) array follows on
     servers 1..m, with servers m+1..n added to each of its columns. These
-    are the (n, m) steps `eta_recursion` counts, one distinct column each.
-    When gcd(N,M) = g > 1 the (N/g, M/g) array is stacked g times.
+    are the steps `closed_forms` counts, one distinct column each, priced
+    first. When gcd(N,M) = g > 1 the (N/g, M/g) array is stacked g times.
     """
-    require_params(n, m)
-    g = gcd(n, m)
+    g, _, eta, *_ = closed_forms(n, m)
+    _priced("greedy", n, m, eta)
     block = n // g
 
     def stacked(column):  # one copy on each of the g blocks of servers
@@ -252,7 +254,7 @@ def eta_recursion(n: int, m: int) -> int:
 
 
 def build_q_array(m: int) -> StorageDesignArray:
-    """The fixed (2M+1, M) template with ceil(M/2)+3 distinct columns.
+    """The fixed (2M+1, M) template with ceil(M/2)+3 distinct columns, priced first.
 
     With h = floor(M/2), D = 2 (even M) or 3 (odd M) and N = 2M+1, the
     columns are, in order:
@@ -268,6 +270,7 @@ def build_q_array(m: int) -> StorageDesignArray:
     if m < 2:
         raise ValueError(f"need M >= 2, got M={m}")
     n = 2 * m + 1
+    _priced("template", n, m, (m + 1) // 2 + 3)
     half, spread = m // 2, 2 + m % 2
     band = tuple(range(m + 1, n - half + 1))
     bottom = tuple(range(n - half + 1, n + 1))
@@ -279,10 +282,11 @@ def build_q_array(m: int) -> StorageDesignArray:
 
 
 def opposite(sda: StorageDesignArray) -> StorageDesignArray:
-    """Swap stars and blanks: an (N, M) array becomes an (N, N-M) array with
-    the same distinct-column count, each distinct column flipped once."""
+    """Swap stars and blanks: an (N, M) array becomes an (N, N-M) array,
+    priced first, with the same distinct columns, each flipped once."""
     if sda.m == sda.n:
         raise ValueError("opposite of a full-replication array has empty columns")
+    _priced("opposite", sda.n, sda.n - sda.m, sda.profile.eta)
     servers = frozenset(range(1, sda.n + 1))
     flipped = {c: tuple(sorted(servers.difference(c))) for c in sda.profile.subsets}
     return StorageDesignArray(sda.n, sda.n - sda.m, tuple(flipped[c] for c in sda.column_sets))
@@ -307,13 +311,14 @@ def improved_family(n: int, m: int) -> tuple[int, bool, int] | None:
 def build_improved(n: int, m: int) -> StorageDesignArray:
     """Block-diagonal array for the `improved_family` (N, M): d-2 full MxM
     star blocks followed by the fixed template (plus case) or the
-    complement of the (M-1) template (minus case)."""
+    complement of the (M-1) template (minus case); priced by its eta first."""
     if m < 3:
         raise ValueError(f"need M >= 3, got M={m}")
     family = improved_family(n, m)
     if family is None:
         raise ValueError(f"N={n} is not d*{m}+1 or d*{m}-1 for any d >= 2")
-    d, plus, _ = family
+    d, plus, eta = family
+    _priced("improved", n, m, eta)
     tail = build_q_array(m) if plus else opposite(build_q_array(m - 1))
     columns = []
     for block in range(d - 2):
@@ -366,11 +371,25 @@ def closed_forms(n: int, m: int) -> tuple[int, int, int, int | None, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Text format
+# Size bounds and text format
 # ---------------------------------------------------------------------------
 
 
+# A built array holds eta*M server entries, one tuple per distinct column, at
+# about 40 bytes each. Whole `scpir build` runs of greedy (N, N-1) (Python
+# 3.11, shared 2-CPU host) took 0.54 s and 50 MiB at N = 1000, 1.4 s and
+# 205 MiB at N = 2236 (4,997,460 entries, the largest under this bound) and
+# 2.5 s and 364 MiB at N = 3000; N = 10^4 would hold about 10^8 entries.
+MAX_BUILD_ENTRIES = 5 * 10**6
 MAX_RENDER_CELLS = 10**8  # 100 MB of text; rendering holds about 3 bytes per cell
+
+
+def _priced(name: str, n: int, m: int, eta: int) -> int:
+    """Price an array: eta, or ValueError if its eta*M entries exceed MAX_BUILD_ENTRIES."""
+    if eta * m > MAX_BUILD_ENTRIES:
+        raise ValueError(f"the {name} ({n}, {m}) array holds eta*M = {eta}*{m} = {eta * m} "
+                         f"server entries, over the bound of {MAX_BUILD_ENTRIES}")
+    return eta
 
 
 def check_renderable(n: int, m: int) -> None:

@@ -67,19 +67,19 @@ class TestBuild:
 
     @pytest.mark.parametrize("method", ["equal", "greedy"])
     def test_over_entry_bound_refused_before_building(self, capsys, monkeypatch, method):
-        def no_build(*args):
-            raise AssertionError("build ran before the entry bound was checked")
+        def no_array(*args):
+            raise AssertionError("an array was made before the entry bound was checked")
 
-        monkeypatch.setitem(cli._BUILDERS, method, no_build)
+        monkeypatch.setattr(sda, "StorageDesignArray", no_array)
         code, stdout, stderr = run(capsys, "build", "--n", "4000", "--m", "3999", "--method", method)
         assert code == 2
         assert stdout == ""
         assert stderr == (f"error: the {method} (4000, 3999) array holds eta*M = 4000*3999 = "
-                          f"15996000 server entries, over the bound of {cli.MAX_BUILD_ENTRIES}\n")
+                          f"15996000 server entries, over the bound of {sda.MAX_BUILD_ENTRIES}\n")
 
     def test_entry_bound_prices_improved_by_its_eta(self, capsys, monkeypatch):
         # improved (6001, 3000) holds 1503*3000 entries where greedy holds 6001*3000
-        monkeypatch.setattr(cli, "MAX_BUILD_ENTRIES", 1503 * 3000 - 1)
+        monkeypatch.setattr(sda, "MAX_BUILD_ENTRIES", 1503 * 3000 - 1)
         code, _, stderr = run(capsys, "build", "--n", "6001", "--m", "3000", "--method", "improved")
         assert code == 2
         assert "holds eta*M = 1503*3000 = 4509000 server entries" in stderr
@@ -264,6 +264,20 @@ class TestAudit:
         assert code == 2
         assert "query symbols and draws a" in stderr
         assert "the bounds are 32768 and 16777216" in stderr
+
+    def test_oversized_construction_refused_before_the_walk(self, capsys, monkeypatch):
+        # greedy (11, 5) holds 7*5 = 35 entries and improved 6*5 = 30, under
+        # the bound; only the equal array, at 11*5 = 55, is over it
+        def no_walk(*args):
+            raise AssertionError("the audit walked a round")
+
+        monkeypatch.setattr("scpir.audit.enumerate_realizations", no_walk)
+        monkeypatch.setattr(sda, "MAX_BUILD_ENTRIES", 54)
+        code, stdout, stderr = run(capsys, "audit", "--n", "11", "--m", "5", "--k", "2")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == ("error: the equal (11, 5) array holds eta*M = 11*5 = 55 server entries, "
+                          "over the bound of 54\n")
 
     def test_single_server_budget_refused(self, capsys):
         code, _, stderr = run(capsys, "audit", "--n", "5", "--m", "1", "--k", "2")

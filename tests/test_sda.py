@@ -3,7 +3,9 @@ closed-form counts they must hit."""
 
 import hashlib
 import re
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -508,3 +510,33 @@ def test_one_tuple_per_distinct_column():
 
     for name, array in arrays():
         assert len({id(c) for c in array.column_sets}) == array.profile.eta, (name, array.n, array.m)
+
+
+@pytest.mark.parametrize(
+    "name, n, m, eta, build",
+    [
+        ("equal", 400, 399, 400, partial(sda.build_equal_size, 400, 399)),
+        ("greedy", 400, 399, 400, partial(sda.build_greedy, 400, 399)),
+        ("improved", 601, 300, 153, partial(sda.build_improved, 601, 300)),
+        ("template", 601, 300, 153, partial(sda.build_q_array, 300)),
+        ("opposite", 400, 399, 400, partial(sda.opposite, sda.build_greedy(400, 1))),
+    ],
+)
+def test_each_construction_refuses_before_it_builds(monkeypatch, name, n, m, eta, build):
+    # one entry over the bound is refused before a column is made, within
+    # 256 KiB where building the equal (400, 399) array peaks near 3 MiB;
+    # at the bound exactly the array builds
+    monkeypatch.setattr(sda, "MAX_BUILD_ENTRIES", eta * m - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == (f"the {name} ({n}, {m}) array holds eta*M = {eta}*{m} = "
+                                  f"{eta * m} server entries, over the bound of {eta * m - 1}")
+    assert peak < 256 * 1024
+    monkeypatch.setattr(sda, "MAX_BUILD_ENTRIES", eta * m)
+    array = build()
+    assert (array.n, array.m, array.profile.eta) == (n, m, eta)
