@@ -176,8 +176,8 @@ def _builder_order(query_fn, theta: int, m: int, index: dict, basis: sfpir.Group
     `query_fn` called on every base; `index` maps each of the M^K queries
     to its position. A round other than M queries, or a query other than a
     tuple, is refused with ValueError: the folds regroup the lists M at a
-    time, and `index` hashes every query. A tuple outside the table goes to
-    `answer`, which refuses it."""
+    time, and `index` hashes every query. A round with a tuple outside the
+    table, or one that cannot be hashed, goes to `answer`, which refuses it."""
     order = []
     for base in enumerate_realizations(m, basis.k):
         queries = query_fn(theta, base, m)
@@ -188,8 +188,9 @@ def _builder_order(query_fn, theta: int, m: int, index: dict, basis: sfpir.Group
             raise ValueError(f"query builder gave a query other than a tuple for file {theta} at base {base}")
         try:
             order += map(index.__getitem__, queries)
-        except KeyError as missing:
-            answer(missing.args[0], basis)
+        except (KeyError, TypeError):
+            for query in queries:
+                answer(query, basis)
             raise
     return order
 
@@ -554,7 +555,7 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
     _, equal_form, greedy_form, improved_form, lower, bound = sda.closed_forms(n, m)
 
     def compare(name, build, closed_form, tag) -> tuple[int, AuditCheck]:
-        eta = sda.column_profile(build(n, m)).eta
+        eta = build(n, m).eta
         return eta, AuditCheck(name, eta == closed_form, eta * (m - 1), closed_form * (m - 1), tag)
 
     eta_equal, equal = compare("equal-size-subpacketization", sda.build_equal_size,
@@ -585,7 +586,7 @@ def subpacketization_audit(n: int, m: int) -> list[AuditCheck]:
             tag="greedy-within-gap-of-floor",
         )
     )
-    if m == n or n % min(m, n - m) == 0:
+    if bound == 1:
         checks.append(
             AuditCheck(
                 name="optimal-case",

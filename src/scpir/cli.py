@@ -55,10 +55,9 @@ def _output(out: str | None):
 def cmd_build(args) -> int:
     sda.check_renderable(args.n, args.m)  # refuse before building; the builder prices its entries
     array = _BUILDERS[args.method](args.n, args.m)
-    eta = sda.column_profile(array).eta
     with _output(args.out) as fh:
         fh.write(sda.render_sda(array))
-    print(f"eta={eta} F={eta * (args.m - 1)}")
+    print(f"eta={array.eta} F={array.eta * (args.m - 1)}")
     return 0
 
 
@@ -99,7 +98,7 @@ def _scheme(n: int, m: int, k: int, l_mult: int, seed: int):
             f"a retrieval over ({n}, {m}) with K={k} sends {symbols} query symbols and draws a "
             f"{library}-byte library; the bounds are {MAX_ROUND_SYMBOLS} and {MAX_LIBRARY_BYTES}"
         )
-    layout, plan = plan_storage(sda.alpha_from_profile(sda.build_greedy(n, m).profile), k, file_len)
+    layout, plan = plan_storage(sda.alpha_from_profile(sda.build_greedy(n, m)), k, file_len)
     return layout, plan, random_library(k, file_len, seed)
 
 

@@ -315,17 +315,17 @@ def min_eta_star(n: int, m: int):
     eta, both from one `sda.closed_forms` call, over the canonical supports
     of `_canonical_supports`; a witness on a strict sub-support would have
     been found at a smaller size, so the witness has exactly eta* positive
-    groups. When 2M > N and N-M >= 2 the search runs on (N, N-M) and every
-    witness group is complemented: server i's load becomes
-    1 - (N-M)/N = M/N with the fractions unchanged. No feasible size up to
-    greedy's eta raises RuntimeError: the oracle and the closed form
-    disagree. M = N is full replication: the one group [N], at fraction 1,
-    with nothing searched.
+    groups. For every 2M > N, (N, N-1) as (N, 1) included, the search runs
+    on the complement side (N, N-M) and every witness group is complemented:
+    server i's load becomes 1 - (N-M)/N = M/N with the fractions unchanged.
+    No feasible size up to greedy's eta raises RuntimeError: the oracle and
+    the closed form disagree. M = N is full replication: the one group [N],
+    at fraction 1, with nothing searched.
     """
     _check_scale(n, m)
     if m == n:
         return 1, {tuple(range(1, n + 1)): Fraction(1)}
-    dual = 2 * m > n and n - m >= 2
+    dual = 2 * m > n
     side = n - m if dual else m
     _, _, greedy, _, lower, _ = closed_forms(n, m)
     for size in range(lower, greedy + 1):

@@ -27,11 +27,12 @@ Everything is pure and exact; alpha values are `fractions.Fraction`.
 Arrays and alphas are valid by construction: `StorageDesignArray` runs
 `validate` and `AlphaAssignment` runs `check` when made, so each fact is
 checked once, and every function that reads one trusts it. `validate`
-reads the columns once, in column order, and the column counts it makes
-stay on the array as its `ColumnProfile`. Every construction, and every
-array `parse_sda` reads, holds one tuple per distinct column, shared by
-its repeats. Each builder, `opposite` included, refuses an array of over
-MAX_BUILD_ENTRIES server entries (eta*M) before making a column.
+reads the columns once, in column order, and the array keeps the groups
+it finds: the distinct columns as `subsets`, their counts as
+`multiplicities`. Every construction, and every array `parse_sda` reads,
+holds one tuple per distinct column, shared by its repeats. Each builder,
+`opposite` included, refuses an array of over MAX_BUILD_ENTRIES server
+entries (eta*M) before making a column.
 """
 
 import re
@@ -48,30 +49,24 @@ Columns = tuple[tuple[int, ...], ...]
 class StorageDesignArray:
     """An (N, M) array as its column sequence: column_sets[j] is the sorted
     tuple of 1-based servers starred in column j. Construction raises
-    ValueError unless the array passes `validate`, and keeps the column
-    counts `validate` made as the array's `profile`."""
+    ValueError unless the array passes `validate`, and keeps the groups
+    `validate` read: the distinct columns in first-occurrence order as
+    `subsets`, and their counts as `multiplicities`."""
 
     n: int
     m: int
     column_sets: Columns
-    profile: "ColumnProfile" = field(init=False, repr=False, compare=False)
+    subsets: Columns = field(init=False, repr=False, compare=False)
+    multiplicities: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "profile", validate(self))
+        subsets, multiplicities = validate(self)
+        object.__setattr__(self, "subsets", subsets)
+        object.__setattr__(self, "multiplicities", multiplicities)
 
     @property
     def columns(self) -> int:
         return len(self.column_sets)
-
-
-@dataclass(frozen=True)
-class ColumnProfile:
-    """Distinct columns of an array in first-occurrence order, with counts."""
-
-    n: int
-    m: int
-    subsets: tuple[tuple[int, ...], ...]
-    multiplicities: tuple[int, ...]
 
     @property
     def eta(self) -> int:
@@ -133,14 +128,14 @@ def require_params(n: int, m: int) -> None:
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
 
 
-def validate(sda: StorageDesignArray) -> ColumnProfile:
+def validate(sda: StorageDesignArray) -> tuple[Columns, tuple[int, ...]]:
     """Raise ValueError unless the array has N/gcd(N,M) columns, each a
     sorted tuple of exactly M distinct servers in 1..N, and stars every
     server in exactly M/gcd(N,M) columns. Columns are read once, in column
     order, and a repeat of a column already read is only counted, so a
     message names the first bad column; rows are checked once every column
-    is good. Returns the column counts it checked, as the array's
-    `ColumnProfile`."""
+    is good. Returns the distinct columns it checked, in first-occurrence
+    order, and their counts: the array's `subsets` and `multiplicities`."""
     require_params(sda.n, sda.m)
     g = gcd(sda.n, sda.m)
     if sda.columns != sda.n // g:
@@ -170,24 +165,24 @@ def validate(sda: StorageDesignArray) -> ColumnProfile:
         if stars[server] != per_row:
             problem = f"row {server} has {stars[server]} stars, expected {per_row}"
             raise ValueError(invalid + problem)
-    return ColumnProfile(sda.n, sda.m, tuple(counts), tuple(counts.values()))
+    return tuple(counts), tuple(counts.values())
 
 
-def column_profile(sda: StorageDesignArray) -> ColumnProfile:
-    """Distinct columns (as 1-based server subsets) in first-occurrence
-    order, counted once, when the array was made."""
-    return sda.profile
+def column_profile(sda: StorageDesignArray) -> StorageDesignArray:
+    """The array itself, which carries its groups and counts; kept only
+    because the benchmark (`perfbench/workloads.py`) calls and traces it."""
+    return sda
 
 
-def alpha_from_profile(profile: ColumnProfile) -> AlphaAssignment:
-    """Per-group file fractions: multiplicity * gcd(N,M)/N for each group,
-    checked once, as the assignment is made."""
-    g = gcd(profile.n, profile.m)
+def alpha_from_profile(sda: StorageDesignArray) -> AlphaAssignment:
+    """Per-group file fractions of an array: multiplicity * gcd(N,M)/N for
+    each of its groups, checked once, as the assignment is made."""
+    g = gcd(sda.n, sda.m)
     entries = {
-        subset: Fraction(count * g, profile.n)
-        for subset, count in zip(profile.subsets, profile.multiplicities)
+        subset: Fraction(count * g, sda.n)
+        for subset, count in zip(sda.subsets, sda.multiplicities)
     }
-    return AlphaAssignment(profile.n, profile.m, entries)
+    return AlphaAssignment(sda.n, sda.m, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +281,9 @@ def opposite(sda: StorageDesignArray) -> StorageDesignArray:
     priced first, with the same distinct columns, each flipped once."""
     if sda.m == sda.n:
         raise ValueError("opposite of a full-replication array has empty columns")
-    _priced("opposite", sda.n, sda.n - sda.m, sda.profile.eta)
+    _priced("opposite", sda.n, sda.n - sda.m, sda.eta)
     servers = frozenset(range(1, sda.n + 1))
-    flipped = {c: tuple(sorted(servers.difference(c))) for c in sda.profile.subsets}
+    flipped = {c: tuple(sorted(servers.difference(c))) for c in sda.subsets}
     return StorageDesignArray(sda.n, sda.n - sda.m, tuple(flipped[c] for c in sda.column_sets))
 
 
@@ -324,7 +319,7 @@ def build_improved(n: int, m: int) -> StorageDesignArray:
     for block in range(d - 2):
         columns += [tuple(range(block * m + 1, block * m + m + 1))] * m
     offset = (d - 2) * m
-    shifted = {c: tuple(s + offset for s in c) for c in tail.profile.subsets}
+    shifted = {c: tuple(s + offset for s in c) for c in tail.subsets}
     columns += [shifted[c] for c in tail.column_sets]
     return StorageDesignArray(n, m, tuple(columns))
 

@@ -129,9 +129,12 @@ def _in_range(entries, m: int) -> bool:
     """Whether every entry is a server index 0..M-1: a subset test, or past
     the prebuilt sets one `range` membership test per entry, which costs
     O(K) rather than building M-entry sets. Either way a non-integer entry
-    such as 1.5 is outside too."""
+    such as 1.5, or an unhashable one such as a list, is outside too."""
     if m < len(_SERVER_SETS):
-        return _SERVER_SETS[m].issuperset(entries)
+        try:
+            return _SERVER_SETS[m].issuperset(entries)
+        except TypeError:
+            return False
     return all(map(range(m).__contains__, entries))
 
 

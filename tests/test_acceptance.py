@@ -6,6 +6,7 @@ are integer or rational identities with zero tolerance.
 """
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -142,7 +143,7 @@ ETA_STAR = {
 def test_criterion_7_oracle_sandwich():
     # and build_improved attains eta* on every family member, greedy
     # wherever min(M, N-M) divides N
-    ok, improved, found = True, [], {}
+    ok, improved, found, groups = True, [], {}, 0
     star = []  # N = 9, 10 witnesses; test_witnesses_pinned pins N <= 8
     for n in range(2, 11):
         for m in range(2, n + 1):
@@ -155,6 +156,13 @@ def test_criterion_7_oracle_sandwich():
                 eta, witness = found[n, m] = min_eta_star(n, m)
             sda.AlphaAssignment(n, m, dict(witness)).check()
             ok = ok and len(witness) == eta == ETA_STAR.get((n, m), eta)
+            # at the smallest size every fraction is positive, so a group that
+            # holds a private server (one no other group holds) takes that
+            # server's whole budget M/N and shares none of its servers: each
+            # group's servers are all private or all shared
+            holders = Counter(s for group in witness for s in group)
+            groups += len(witness)
+            ok = ok and all(len({holders[s] == 1 for s in group}) == 1 for group in witness)
             ok = ok and sda.eta_lower_bound(n, m) <= eta <= sda.eta_recursion(n, m)
             if m == n or n % min(m, n - m) == 0:
                 ok = ok and eta == n // gcd(n, m) == sda.eta_recursion(n, m)
@@ -167,6 +175,7 @@ def test_criterion_7_oracle_sandwich():
                 improved.append((n, m))
                 ok = ok and sda.column_profile(sda.build_improved(n, m)).eta == eta
     ok = ok and improved == [(5, 3), (7, 3), (7, 4), (8, 3), (9, 4), (9, 5), (10, 3)]
+    ok = ok and groups == 179  # the groups the private-server rule was checked on
     ok = ok and hashlib.sha256(repr(star).encode()).hexdigest() == (
         "8ca7468474d5365d5634f6252533c82e36205cea03f5612abfd8446ec1fdd947"
     )

@@ -6,6 +6,7 @@ import hashlib
 import re
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -746,15 +747,26 @@ def queries_one_entry_short(theta, base, m):
     return queries
 
 
+def queries_unhashable_entry(theta, base, m):
+    """Faulty builder: server 1's query for file 2 at base (1, 2) holds a
+    list, so it cannot be hashed."""
+    queries = make_queries(theta, base, m)
+    if theta == 2 and base == (1, 2):
+        queries[1] = (0, [1])
+    return queries
+
+
 @pytest.mark.parametrize(
     "query_fn, refused",
     [
         (queries_entry_m, "query (1, 3) has entries outside 0..2"),
         (queries_one_entry_short, "query length 1 != K=2"),
+        (queries_unhashable_entry, "query (0, [1]) has entries outside 0..2"),
     ],
 )
 def test_walk_refuses_a_query_outside_the_table(query_fn, refused):
-    # a tuple that is not one of the M^K queries is refused by `answer`
+    # a tuple that is not one of the M^K queries, or cannot be looked up,
+    # is refused by `answer`
     layout, _, library = build_instance(4, 3, 2)
     with pytest.raises(ValueError, match=re.escape(refused)):
         privacy_audit(layout, library, query_fn=query_fn)
@@ -832,6 +844,21 @@ class TestSubpacketizationAudit:
         monkeypatch.setattr(sda, target, getattr(sda, stand_in))
         check = self.as_map(n, m)[name]
         assert (check.passed, check.measured, check.expected) == (False, measured, expected)
+
+
+def test_optimal_case_row_is_the_divisible_case(monkeypatch):
+    # the paper's optimal case, min(M, N-M) | N or M = N, is a gap bound of 1,
+    # and the audit adds its row there; builds are stubbed for the audit, as
+    # only its rows' names are read, and it is walked to N = 50 for time
+    for name in ("build_equal_size", "build_greedy", "build_improved"):
+        monkeypatch.setattr(sda, name, lambda n, m: SimpleNamespace(eta=1))
+    for n in range(1, 301):
+        for m in range(1, n + 1):
+            divisible = m == n or n % min(m, n - m) == 0
+            assert divisible == (sda.gap_bound(n, m) == 1), (n, m)
+            if n <= 50:
+                rows = {c.name for c in subpacketization_audit(n, m)}
+                assert divisible == ("optimal-case" in rows), (n, m)
 
 
 @st.composite

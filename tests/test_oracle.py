@@ -120,7 +120,7 @@ class TestBitmaskKernels:
 
     def test_canonical_supports_match_itertools_reference(self):
         for n in range(3, 8 + 1):  # the reference draws at N = 9, 10 take far too long
-            for m in range(2, n):
+            for m in range(1, n):
                 for size in range(2, 6):
                     got = list(oracle._canonical_supports(n, m, size))
                     assert got == list(reference_canonical_supports(n, m, size)), (n, m, size)
@@ -129,7 +129,7 @@ class TestBitmaskKernels:
         # the generator keeps a subsequence of the covering draws, and every
         # draw it leaves out fails propagation
         for n in range(3, 8 + 1):  # the reference draws at N = 9, 10 take far too long
-            for m in range(2, n):
+            for m in range(1, n):
                 for size in range(2, 6):
                     kept = oracle._canonical_supports(n, m, size)
                     pending = next(kept, None)

@@ -181,7 +181,7 @@ class TestColumnProfile:
     def test_counted_once_when_made(self, monkeypatch):
         array = sda.build_greedy(12, 5)
         monkeypatch.setattr(sda, "validate", None)  # a recount would call it
-        assert sda.column_profile(array) is array.profile
+        assert sda.column_profile(array) is array
 
 
 class TestAlphaAssignment:
@@ -509,7 +509,7 @@ def test_one_tuple_per_distinct_column():
         yield "parsed-greedy", sda.parse_sda(sda.render_sda(sda.build_greedy(1000, 13)))
 
     for name, array in arrays():
-        assert len({id(c) for c in array.column_sets}) == array.profile.eta, (name, array.n, array.m)
+        assert len({id(c) for c in array.column_sets}) == array.eta, (name, array.n, array.m)
 
 
 @pytest.mark.parametrize(
@@ -539,4 +539,4 @@ def test_each_construction_refuses_before_it_builds(monkeypatch, name, n, m, eta
     assert peak < 256 * 1024
     monkeypatch.setattr(sda, "MAX_BUILD_ENTRIES", eta * m)
     array = build()
-    assert (array.n, array.m, array.profile.eta) == (n, m, eta)
+    assert (array.n, array.m, array.eta) == (n, m, eta)

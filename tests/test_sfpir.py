@@ -462,13 +462,14 @@ def test_random_base_vector_in_range_and_seeded():
 @pytest.mark.parametrize("m", [2, 3, 40, 1000])  # 40 and 1000 are past the prebuilt index sets
 def test_non_integer_entries_are_outside_the_range(m):
     # a fractional entry lies between two server indices, so it is refused
-    # as out of range, not left to fail later at an index
+    # as out of range, not left to fail later at an index; a list entry is
+    # refused the same way, not with an unhashable-type TypeError
     storage = random_storage(random.Random(m), m, 2)
-    vec = (0, 1.5)
     outside = f"has entries outside 0..{m - 1}"
-    with pytest.raises(ValueError, match=re.escape(f"base vector {vec} {outside}")):
-        make_queries(1, vec, m)
-    with pytest.raises(ValueError, match=re.escape(f"base vector {vec} {outside}")):
-        decode(1, vec, [SILENT] * m)
-    with pytest.raises(ValueError, match=re.escape(f"query {vec} {outside}")):
-        answer(vec, storage)
+    for vec in ((0, 1.5), (0, [1])):
+        with pytest.raises(ValueError, match=re.escape(f"base vector {vec} {outside}")):
+            make_queries(1, vec, m)
+        with pytest.raises(ValueError, match=re.escape(f"base vector {vec} {outside}")):
+            decode(1, vec, [SILENT] * m)
+        with pytest.raises(ValueError, match=re.escape(f"query {vec} {outside}")):
+            answer(vec, storage)
