@@ -30,15 +30,20 @@ checked once, and every function that reads one trusts it. `validate`
 reads the columns once, in column order, and the array keeps the groups
 it finds: the distinct columns as `subsets`, their counts as
 `multiplicities`. Every construction, and every array `parse_sda` reads,
-holds one tuple per distinct column, shared by its repeats. Each builder,
-`opposite` included, refuses an array of over MAX_BUILD_ENTRIES server
-entries (eta*M) before making a column.
+holds one tuple per distinct column, shared by its repeats, and fills its
+columns from one pool of the N server ints: a builder slices each column
+from one tuple of them, made once per build after the price check, and
+`opposite` takes them from one set. So a built or parsed array holds at
+most N int objects, and a held server entry costs one 8-byte pointer.
+Each builder, `opposite` included, refuses an array of over
+MAX_BUILD_ENTRIES server entries (eta*M) before making a column.
 """
 
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, groupby, repeat
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -99,26 +104,29 @@ class AlphaAssignment:
                 raise ValueError(f"group {subset} has size {value}, not an exact rational")
         # exact integer arithmetic in units of 1/den of a file
         den = lcm(*(value.denominator for value in self.entries.values()))
-        held = [0] * (self.n + 1)  # held[s]: server s's units of each file
+        n, m = self.n, self.m
+        held = [0] * (n + 1)  # held[s]: server s's units of each file
         total = 0
         for subset, value in self.entries.items():
-            if len(set(subset)) != self.m:
-                raise ValueError(f"group {subset} does not have {self.m} distinct servers")
-            if not all(1 <= s <= self.n for s in subset):
-                raise ValueError(f"group {subset} has a server outside 1..{self.n}")
-            if value <= 0:
-                raise ValueError(f"group {subset} has non-positive size {value}")
+            if len(set(subset)) != m:
+                raise ValueError(f"group {subset} does not have {m} distinct servers")
+            if subset and not 1 <= min(subset) <= max(subset) <= n:
+                raise ValueError(f"group {subset} has a server outside 1..{n}")
             units = value.numerator * (den // value.denominator)
+            if units <= 0:  # den > 0, so units has the sign of value
+                raise ValueError(f"group {subset} has non-positive size {value}")
             total += units
             for s in subset:
                 held[s] += units
         if total != den:
             raise ValueError("group sizes do not sum to 1")
-        for server in range(1, self.n + 1):
-            if held[server] * self.n != self.m * den:
+        if n and not m * den % n and held.count(m * den // n) == n:
+            return  # one C pass: every server holds m/n of each file
+        for server in range(1, n + 1):  # names the first server that does not
+            if held[server] * n != m * den:
                 raise ValueError(
                     f"server {server} holds {Fraction(held[server], den)} of each file, "
-                    f"expected {Fraction(self.m, self.n)}"
+                    f"expected {Fraction(m, n)}"
                 )
 
 
@@ -132,9 +140,10 @@ def validate(sda: StorageDesignArray) -> tuple[Columns, tuple[int, ...]]:
     """Raise ValueError unless the array has N/gcd(N,M) columns, each a
     sorted tuple of exactly M distinct servers in 1..N, and stars every
     server in exactly M/gcd(N,M) columns. Columns are read once, in column
-    order, and a repeat of a column already read is only counted, so a
-    message names the first bad column; rows are checked once every column
-    is good. Returns the distinct columns it checked, in first-occurrence
+    order, a run of equal columns as one, and a repeat of a column already
+    read is only counted, so a message names the first bad column; rows are
+    checked once every column is good, and a message names the first bad
+    row. Returns the distinct columns it checked, in first-occurrence
     order, and their counts: the array's `subsets` and `multiplicities`."""
     require_params(sda.n, sda.m)
     g = gcd(sda.n, sda.m)
@@ -142,29 +151,33 @@ def validate(sda: StorageDesignArray) -> tuple[Columns, tuple[int, ...]]:
         raise ValueError(f"array has {sda.columns} columns, expected {sda.n // g}")
     invalid = f"not a valid ({sda.n},{sda.m}) storage design array: "
     counts = {}  # distinct column -> multiplicity, in first-occurrence order
-    for j, column in enumerate(sda.column_sets, 1):
+    j = 1  # the first column of the run
+    for column, run in groupby(sda.column_sets):  # a run of equal columns, counted in C
         try:
             count = counts.get(column, 0)
         except TypeError:  # unhashable, such as a list: the tuple check refuses it
             count = 0
         if not count:  # not read before, so checked where it stands
-            canonical = (isinstance(column, tuple) and all(isinstance(s, int) for s in column)
+            canonical = (isinstance(column, tuple) and all(map(isinstance, column, repeat(int)))
                          and list(column) == sorted(set(column)))
             # sorted and distinct, so its first and last servers bound the rest
             if not canonical or column and not 1 <= column[0] <= column[-1] <= sda.n:
                 raise ValueError(f"column {j} is not a sorted tuple of distinct servers in 1..{sda.n}")
             if len(column) != sda.m:
                 raise ValueError(invalid + f"column {j} has {len(column)} stars, expected {sda.m}")
-        counts[column] = count + 1
+        length = len(list(run))
+        counts[column] = count + length
+        j += length
     stars = [0] * (sda.n + 1)
     for column, count in counts.items():
         for s in column:
             stars[s] += count
     per_row = sda.m // g
-    for server in range(1, sda.n + 1):
-        if stars[server] != per_row:
-            problem = f"row {server} has {stars[server]} stars, expected {per_row}"
-            raise ValueError(invalid + problem)
+    if stars.count(per_row) != sda.n:  # one C pass; the loop names the first bad row
+        for server in range(1, sda.n + 1):
+            if stars[server] != per_row:
+                problem = f"row {server} has {stars[server]} stars, expected {per_row}"
+                raise ValueError(invalid + problem)
     return tuple(counts), tuple(counts.values())
 
 
@@ -195,7 +208,10 @@ def build_equal_size(n: int, m: int) -> StorageDesignArray:
     at (j-1)*M mod N; all N/gcd(N,M) columns are distinct, and priced first."""
     require_params(n, m)
     eta = _priced("equal", n, m, n // gcd(n, m))
-    windows = (tuple(sorted((j * m + i) % n + 1 for i in range(m))) for j in range(eta))
+    servers = tuple(range(n + 1))
+    starts = (j * m % n for j in range(eta))  # each window holds servers start+1..start+M
+    windows = (servers[start + 1 : start + m + 1] if start + m <= n
+               else servers[1 : start + m - n + 1] + servers[start + 1 :] for start in starts)
     return StorageDesignArray(n, m, tuple(windows))
 
 
@@ -217,27 +233,29 @@ def build_greedy(n: int, m: int) -> StorageDesignArray:
     """
     g, _, eta, *_ = closed_forms(n, m)
     _priced("greedy", n, m, eta)
+    servers = tuple(range(n + 1))
     block = n // g
 
-    def stacked(column):  # one copy on each of the g blocks of servers
-        return tuple(s + r * block for r in range(g) for s in column)
-
-    a, b = block, m // g
-
     # the corner left to fill is the (a, b) array on servers shift+1..shift+a,
-    # with the servers in tail added to each of its columns
-    columns = []
-    shift, tail = 0, ()
+    # and every server above it, up to the block's end, is added to each of
+    # its columns: a strip moves shift and a together, and a flip hands the
+    # corner's top a-b servers to that tail
+    a, b = block, m // g
+    shift, columns = 0, []
+
+    def column(stars):  # the corner's first stars servers and the tail, on each block
+        return tuple(chain.from_iterable(
+            servers[r + shift + 1 : r + shift + stars + 1] + servers[r + shift + a + 1 : r + block + 1]
+            for r in range(0, n, block)))
+
     while a > 1:
-        column = stacked(tuple(range(shift + 1, shift + b + 1)) + tail)
         if a >= 2 * b:
-            columns += [column] * b
+            columns += [column(b)] * b
             shift, a = shift + b, a - b
         else:
-            columns += [column] * (a - b)
-            tail = tuple(range(shift + b + 1, shift + a + 1)) + tail
+            columns += [column(b)] * (a - b)
             a, b = b, 2 * b - a
-    columns.append(stacked((shift + 1,) + tail))
+    columns.append(column(1))
     return StorageDesignArray(n, m, tuple(columns))
 
 
@@ -266,13 +284,13 @@ def build_q_array(m: int) -> StorageDesignArray:
         raise ValueError(f"need M >= 2, got M={m}")
     n = 2 * m + 1
     _priced("template", n, m, (m + 1) // 2 + 3)
+    servers = tuple(range(n + 1))
     half, spread = m // 2, 2 + m % 2
-    band = tuple(range(m + 1, n - half + 1))
-    bottom = tuple(range(n - half + 1, n + 1))
-    columns = [tuple(range(1, m + 1))] * (m - 1)
+    band, bottom = servers[m + 1 : n - half + 1], servers[n - half + 1 :]
+    columns = [servers[1 : m + 1]] * (m - 1)
     columns += [band + bottom[:t] + bottom[t + 1 :] for t in range(half)] * 2
     top = spread * (m - half)
-    columns += [tuple(range(c, top + 1, spread)) + bottom for c in range(1, spread + 1)]
+    columns += [servers[c : top + 1 : spread] + bottom for c in range(1, spread + 1)]
     return StorageDesignArray(n, m, tuple(columns))
 
 
@@ -314,13 +332,14 @@ def build_improved(n: int, m: int) -> StorageDesignArray:
         raise ValueError(f"N={n} is not d*{m}+1 or d*{m}-1 for any d >= 2")
     d, plus, eta = family
     _priced("improved", n, m, eta)
+    servers = tuple(range(n + 1))
     tail = build_q_array(m) if plus else opposite(build_q_array(m - 1))
     columns = []
-    for block in range(d - 2):
-        columns += [tuple(range(block * m + 1, block * m + m + 1))] * m
-    offset = (d - 2) * m
-    shifted = {c: tuple(s + offset for s in c) for c in tail.subsets}
-    columns += [shifted[c] for c in tail.column_sets]
+    for block in range(0, (d - 2) * m, m):
+        columns += [servers[block + 1 : block + m + 1]] * m
+    shifted = servers[(d - 2) * m :]  # shifted[s] is the template's server s here
+    moved = {c: tuple(map(shifted.__getitem__, c)) for c in tail.subsets}
+    columns += [moved[c] for c in tail.column_sets]
     return StorageDesignArray(n, m, tuple(columns))
 
 
@@ -370,11 +389,14 @@ def closed_forms(n: int, m: int) -> tuple[int, int, int, int | None, int, int]:
 # ---------------------------------------------------------------------------
 
 
-# A built array holds eta*M server entries, one tuple per distinct column, at
-# about 40 bytes each. Whole `scpir build` runs of greedy (N, N-1) (Python
-# 3.11, shared 2-CPU host) took 0.54 s and 50 MiB at N = 1000, 1.4 s and
-# 205 MiB at N = 2236 (4,997,460 entries, the largest under this bound) and
-# 2.5 s and 364 MiB at N = 3000; N = 10^4 would hold about 10^8 entries.
+# A built array holds eta*M server entries, one tuple per distinct column,
+# at one 8-byte pointer each into the shared server ints (tracemalloc reads
+# 8.1 B per entry for greedy (1000, 999) and equal (2000, 999)). Whole
+# `scpir build` runs of greedy (N, N-1), which also render the text grid
+# (Python 3.11, shared 2-CPU host), took 0.24-0.35 s and 27 MiB at
+# N = 1000, 0.9 s and 69 MiB at N = 2236 (4,997,460 entries, the largest
+# under this bound) and 1.6 s and 111 MiB at N = 3000 with the bound
+# raised; N = 10^4 would hold about 10^8 entries.
 MAX_BUILD_ENTRIES = 5 * 10**6
 MAX_RENDER_CELLS = 10**8  # 100 MB of text; rendering holds about 3 bytes per cell
 

@@ -123,6 +123,7 @@ class GroupStorage:
 
 
 _SERVER_SETS = tuple(frozenset(range(m)) for m in range(33))  # built once, for M <= 32
+_INT = frozenset((int,))  # the one entry type a query copies: not bool, not float
 
 
 def _in_range(entries, m: int) -> bool:
@@ -156,10 +157,14 @@ def make_queries(theta: int, base: tuple[int, ...], m: int) -> list[tuple[int, .
     be an int: a float or bool equal to an index is refused with ValueError
     rather than copied into the queries."""
     _check_round(theta, base, m)
-    if not all(type(q) is int for q in base):
+    if not _INT.issuperset(map(type, base)):
         raise ValueError(f"base vector {base} has entries other than ints")
-    head, shift, tail = base[: theta - 1], base[theta - 1], base[theta:]
-    return [head + ((shift + s) % m,) + tail for s in range(m)]
+    vec, wanted, queries = list(base), theta - 1, []
+    shift = base[wanted]
+    for shifted in range(shift, shift + m):  # one list, overwritten at the wanted coordinate
+        vec[wanted] = shifted % m
+        queries.append(tuple(vec))
+    return queries
 
 
 def query_positions(theta: int, m: int, k: int) -> list[int]:

@@ -162,6 +162,24 @@ class TestValidate:
         with pytest.raises(ValueError, match=re.escape(message)):
             sda.StorageDesignArray(4, 2, columns)
 
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (((1, 2), (1, 2), (4, 3), (3, 5), (4, 5)), "column 3 is not a sorted tuple of distinct servers in 1..5"),
+            (((1, 2), (1, 2), [3, 4], (3, 5), (4, 5)), "column 3 is not a sorted tuple of distinct servers in 1..5"),
+            (((1, 2), (1, 2), (3, 4), (3, 4), (5,)), "(5,2) storage design array: column 5 has 1 stars, expected 2"),
+            (((1, 2), (3, 4), (1, 2), (5, 6), (4, 5)), "column 4 is not a sorted tuple of distinct servers in 1..5"),
+            (((1, 2), (3, 4), (1, 2), (3, 5), (3, 5)), "(5,2) storage design array: row 3 has 3 stars, expected 2"),
+        ],
+    )
+    def test_first_bad_column_around_repeats(self, columns, message):
+        # a run of equal columns is read as one and a repeat that is not
+        # adjacent is only counted, yet a message names the column or row
+        # where the first fault stands; (5, 2) has five columns, which the
+        # two-column (4, 2) arrays above cannot hold
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sda.StorageDesignArray(5, 2, columns)
+
 
 class TestColumnProfile:
     def test_greedy_9_4(self):
@@ -224,6 +242,16 @@ class TestAlphaAssignment:
                 "server 1 holds 3/4 of each file, expected 1/2",
             ),
             ({(1, 2): 0.5, (3, 4): 0.5}, "group (1, 2) has size 0.5, not an exact rational"),
+            ({(1, 2): Fraction(1, 2), (0, 3): Fraction(1, 2)}, "group (0, 3) has a server outside 1..4"),
+            ({(1, 2): Fraction(3, 2), (3, 4): Fraction(-1, 2)}, "group (3, 4) has non-positive size -1/2"),
+            (
+                {(1, 3): Fraction(1, 2), (2, 4): Fraction(1, 4), (3, 4): Fraction(1, 4)},
+                "server 2 holds 1/4 of each file, expected 1/2",
+            ),
+            (
+                {(1, 2): Fraction(1, 3), (3, 4): Fraction(2, 3)},
+                "server 1 holds 1/3 of each file, expected 1/2",
+            ),
         ],
     )
     def test_refusal_messages(self, entries, message):
@@ -500,16 +528,31 @@ def test_layouts_match_pinned_digest():
 
 def test_one_tuple_per_distinct_column():
     # repeated columns share one tuple, so an array holds eta*M server entries;
-    # so does an array read back from its text form
+    # so does an array read back from its text form. Past N = 256, where
+    # Python stops caching ints, every entry is one of at most N int objects,
+    # so each costs a pointer
     def arrays():
         for name, array in pinned_arrays():
             yield name, array
             if array.n <= 16:
                 yield f"parsed-{name}", sda.parse_sda(sda.render_sda(array))
-        yield "parsed-greedy", sda.parse_sda(sda.render_sda(sda.build_greedy(1000, 13)))
 
-    for name, array in arrays():
+    large = [
+        ("equal", sda.build_equal_size(301, 150)),
+        ("greedy", sda.build_greedy(300, 299)),  # gcd 1
+        ("greedy", sda.build_greedy(600, 598)),  # gcd 2: the (300, 299) array stacked twice
+        ("improved-plus", sda.build_improved(301, 100)),
+        ("improved-minus", sda.build_improved(299, 100)),
+        ("template", sda.build_q_array(150)),
+        ("opposite-greedy", sda.opposite(sda.build_greedy(300, 1))),
+        ("opposite-equal", sda.opposite(sda.build_equal_size(301, 150))),
+        ("parsed-greedy", sda.parse_sda(sda.render_sda(sda.build_greedy(1000, 13)))),
+    ]
+    for name, array in [*arrays(), *large]:
         assert len({id(c) for c in array.column_sets}) == array.eta, (name, array.n, array.m)
+    for name, array in large:
+        servers = {id(s) for column in array.subsets for s in column}
+        assert len(servers) <= array.n, (name, array.n, array.m, len(servers))
 
 
 @pytest.mark.parametrize(
