@@ -67,11 +67,11 @@ checks fail.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import count, repeat
 from operator import or_
+from typing import NamedTuple
 
 from . import sda, sfpir
 from .scheme import (
@@ -84,8 +84,7 @@ from .scheme import (
 from .sfpir import ProtocolViolation, answer, decode, enumerate_realizations, make_queries, query_positions
 
 
-@dataclass(frozen=True)
-class AuditCheck:
+class AuditCheck(NamedTuple):
     name: str
     passed: bool
     measured: object
@@ -98,9 +97,8 @@ class AuditCheck:
         return "pass" if self.passed else "FAIL"
 
 
-@dataclass
-class AuditReport:
-    checks: list[AuditCheck] = field(default_factory=list)
+class AuditReport(NamedTuple):
+    checks: list[AuditCheck]
 
     @property
     def overall(self) -> bool:

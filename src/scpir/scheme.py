@@ -13,35 +13,39 @@ for every array this package constructs.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import sda
 from .sfpir import Answer, GroupStorage, answer, decode, make_queries
 
 
-@dataclass(frozen=True)
-class FileLibrary:
-    """K files of exactly file_len symbols each (one symbol = one byte)."""
+class FileLibrary(namedtuple("FileLibrary", "k_files file_len data")):
+    """K files of exactly file_len symbols each (one symbol = one byte), as
+    a read-only named tuple. Construction, `_make` and `_replace` all check
+    the file count and lengths."""
 
-    k_files: int
-    file_len: int
-    data: tuple[bytes, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.data) != self.k_files:
-            raise ValueError(f"expected {self.k_files} files, got {len(self.data)}")
-        if any(len(f) != self.file_len for f in self.data):
-            raise ValueError(f"every file must have exactly {self.file_len} symbols")
+    def __new__(cls, k_files: int, file_len: int, data: tuple[bytes, ...]):
+        if len(data) != k_files:
+            raise ValueError(f"expected {k_files} files, got {len(data)}")
+        if any(len(f) != file_len for f in data):
+            raise ValueError(f"every file must have exactly {file_len} symbols")
+        return tuple.__new__(cls, (k_files, file_len, data))
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def file(self, index: int) -> bytes:
         """File by 1-based index."""
         return self.data[index - 1]
 
 
-@dataclass(frozen=True)
-class GroupRegion:
+class GroupRegion(NamedTuple):
     """One group's slice of every file: which servers hold it and where
     in the file it lives."""
 
@@ -51,16 +55,14 @@ class GroupRegion:
     file_offset: int
 
 
-@dataclass(frozen=True)
-class PacketLayout:
+class PacketLayout(NamedTuple):
     n: int
     m: int
     file_len: int
     groups: tuple[GroupRegion, ...]
 
 
-@dataclass(frozen=True)
-class StoragePlan:
+class StoragePlan(NamedTuple):
     """What K files cost each server under a `PacketLayout`, which owns N,
     M, L and which servers hold each region: capacity_used[s] is server
     s's exact symbol count, which always equals M*K*L/N."""
@@ -69,8 +71,7 @@ class StoragePlan:
     capacity_used: dict[int, int]
 
 
-@dataclass(frozen=True)
-class GroupTranscript:
+class GroupTranscript(NamedTuple):
     group: int
     servers: tuple[int, ...]
     base: tuple[int, ...]
@@ -78,8 +79,7 @@ class GroupTranscript:
     answers: tuple[Answer, ...]
 
 
-@dataclass(frozen=True)
-class RetrievalTranscript:
+class RetrievalTranscript(NamedTuple):
     theta: int
     groups: tuple[GroupTranscript, ...]
     downloaded_symbols: int

@@ -25,8 +25,9 @@ entry of it.
 Everything is pure and exact; alpha values are `fractions.Fraction`.
 
 Arrays and alphas are valid by construction: `StorageDesignArray` runs
-`validate` and `AlphaAssignment` runs `check` when made, so each fact is
-checked once, and every function that reads one trusts it. `validate`
+`validate` and `AlphaAssignment` runs `check` whenever one is made, by
+its constructor, `_make` or `_replace` alike, so each fact is checked
+once, and every function that reads one trusts it. `validate`
 reads the columns once, in column order, and the array keeps the groups
 it finds: the distinct columns as `subsets`, their counts as
 `multiplicities`. Every construction, and every array `parse_sda` reads,
@@ -40,34 +41,44 @@ MAX_BUILD_ENTRIES server entries (eta*M) before making a column.
 """
 
 import re
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from math import gcd, lcm
 from types import MappingProxyType
 
 Columns = tuple[tuple[int, ...], ...]
+_INT = frozenset((int,))  # the one server type: not bool, not float
 
 
-@dataclass(frozen=True)
-class StorageDesignArray:
+class StorageDesignArray(namedtuple("StorageDesignArray", "n m column_sets subsets multiplicities")):
     """An (N, M) array as its column sequence: column_sets[j] is the sorted
-    tuple of 1-based servers starred in column j. Construction raises
-    ValueError unless the array passes `validate`, and keeps the groups
-    `validate` read: the distinct columns in first-occurrence order as
-    `subsets`, and their counts as `multiplicities`."""
+    tuple of 1-based servers starred in column j. It is a read-only named
+    tuple whose two trailing fields are derived, not given: construction
+    raises ValueError unless the array passes `validate`, and keeps the
+    groups `validate` read, the distinct columns in first-occurrence order
+    as `subsets` and their counts as `multiplicities`. `repr` leaves the
+    derived fields out, and `_make` and `_replace` rebuild through the
+    constructor, so they validate again and recompute them."""
 
-    n: int
-    m: int
-    column_sets: Columns
-    subsets: Columns = field(init=False, repr=False, compare=False)
-    multiplicities: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        subsets, multiplicities = validate(self)
-        object.__setattr__(self, "subsets", subsets)
-        object.__setattr__(self, "multiplicities", multiplicities)
+    def __new__(cls, n: int, m: int, column_sets: Columns):
+        # validate reads N, M and the columns of a provisional array with no groups yet
+        subsets, multiplicities = validate(tuple.__new__(cls, (n, m, column_sets, (), ())))
+        return tuple.__new__(cls, (n, m, column_sets, subsets, multiplicities))
+
+    @classmethod
+    def _make(cls, fields):
+        n, m, column_sets, _subsets, _multiplicities = fields
+        return cls(n, m, column_sets)
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__ from these
+        return self[:3]
+
+    def __repr__(self):
+        return f"StorageDesignArray(n={self.n!r}, m={self.m!r}, column_sets={self.column_sets!r})"
 
     @property
     def columns(self) -> int:
@@ -78,24 +89,27 @@ class StorageDesignArray:
         return len(self.subsets)
 
 
-@dataclass(frozen=True)
-class AlphaAssignment:
-    """Normalized per-group file fractions keyed by server subset.
+class AlphaAssignment(namedtuple("AlphaAssignment", "n m entries")):
+    """Normalized per-group file fractions keyed by server subset, as a
+    read-only named tuple.
 
     entries preserves group order (first occurrence in the source array).
     Every subset has size m, every value is a positive rational, each
     server's values sum to exactly m/n, and the whole map sums to 1;
-    construction raises ValueError unless `check` passes, and entries is
-    a read-only copy of the given map.
+    construction, `_make` and `_replace` raise ValueError unless `check`
+    passes, and entries is a read-only copy of the given map.
     """
 
-    n: int
-    m: int
-    entries: Mapping[tuple[int, ...], Fraction]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+    def __new__(cls, n: int, m: int, entries: Mapping[tuple[int, ...], Fraction]):
+        self = tuple.__new__(cls, (n, m, MappingProxyType(dict(entries))))
         self.check()
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def check(self) -> None:
         """Raise ValueError if any invariant fails."""
@@ -136,6 +150,11 @@ def require_params(n: int, m: int) -> None:
         raise ValueError(f"need 1 <= M <= N, got N={n}, M={m}")
 
 
+def _ints(column) -> bool:
+    """Whether the column is a tuple of ints, counting no bool or float as one."""
+    return isinstance(column, tuple) and _INT.issuperset(map(type, column))
+
+
 def validate(sda: StorageDesignArray) -> tuple[Columns, tuple[int, ...]]:
     """Raise ValueError unless the array has N/gcd(N,M) columns, each a
     sorted tuple of exactly M distinct servers in 1..N, and stars every
@@ -143,33 +162,41 @@ def validate(sda: StorageDesignArray) -> tuple[Columns, tuple[int, ...]]:
     order, a run of equal columns as one, and a repeat of a column already
     read is only counted, so a message names the first bad column; rows are
     checked once every column is good, and a message names the first bad
-    row. Returns the distinct columns it checked, in first-occurrence
-    order, and their counts: the array's `subsets` and `multiplicities`."""
+    row. Servers are ints, never bools or floats. A repeat is only counted
+    when it is the very tuple checked for its column, as in every array the
+    builders and `parse_sda` make; any other equal tuple, such as
+    (1.0, 2.0) for (1, 2), gets the int test. Returns the distinct columns
+    it checked, in first-occurrence order, and their counts: the array's
+    `subsets` and `multiplicities`."""
     require_params(sda.n, sda.m)
     g = gcd(sda.n, sda.m)
     if sda.columns != sda.n // g:
         raise ValueError(f"array has {sda.columns} columns, expected {sda.n // g}")
     invalid = f"not a valid ({sda.n},{sda.m}) storage design array: "
-    counts = {}  # distinct column -> multiplicity, in first-occurrence order
+    not_servers = f" is not a sorted tuple of distinct servers in 1..{sda.n}"
+    groups = {}  # distinct column -> [the tuple checked for it, multiplicity], in first-occurrence order
     j = 1  # the first column of the run
-    for column, run in groupby(sda.column_sets):  # a run of equal columns, counted in C
+    for _, run in groupby(sda.column_sets, id):  # a run of one tuple object, counted in C
+        run = list(run)
+        column = run[0]
         try:
-            count = counts.get(column, 0)
+            group = groups.get(column)
         except TypeError:  # unhashable, such as a list: the tuple check refuses it
-            count = 0
-        if not count:  # not read before, so checked where it stands
-            canonical = (isinstance(column, tuple) and all(map(isinstance, column, repeat(int)))
-                         and list(column) == sorted(set(column)))
+            group = None
+        if group is None:  # not read before, so checked where it stands
+            canonical = _ints(column) and list(column) == sorted(set(column))
             # sorted and distinct, so its first and last servers bound the rest
             if not canonical or column and not 1 <= column[0] <= column[-1] <= sda.n:
-                raise ValueError(f"column {j} is not a sorted tuple of distinct servers in 1..{sda.n}")
+                raise ValueError(f"column {j}{not_servers}")
             if len(column) != sda.m:
                 raise ValueError(invalid + f"column {j} has {len(column)} stars, expected {sda.m}")
-        length = len(list(run))
-        counts[column] = count + length
-        j += length
+            group = groups[column] = [column, 0]
+        elif column is not group[0] and not _ints(column):  # equal to a checked column, but of other types
+            raise ValueError(f"column {j}{not_servers}")
+        group[1] += len(run)
+        j += len(run)
     stars = [0] * (sda.n + 1)
-    for column, count in counts.items():
+    for column, count in groups.values():
         for s in column:
             stars[s] += count
     per_row = sda.m // g
@@ -178,7 +205,7 @@ def validate(sda: StorageDesignArray) -> tuple[Columns, tuple[int, ...]]:
             if stars[server] != per_row:
                 problem = f"row {server} has {stars[server]} stars, expected {per_row}"
                 raise ValueError(invalid + problem)
-    return tuple(counts), tuple(counts.values())
+    return tuple(groups), tuple(count for _, count in groups.values())
 
 
 def column_profile(sda: StorageDesignArray) -> StorageDesignArray:
@@ -334,6 +361,8 @@ def build_improved(n: int, m: int) -> StorageDesignArray:
     _priced("improved", n, m, eta)
     servers = tuple(range(n + 1))
     tail = build_q_array(m) if plus else opposite(build_q_array(m - 1))
+    if d == 2:  # no full block: the tail is the whole array, on servers 1..N already
+        return tail
     columns = []
     for block in range(0, (d - 2) * m, m):
         columns += [servers[block + 1 : block + m + 1]] * m

@@ -29,8 +29,8 @@ them are priced by their caller (`audit`), not by the enumerator.
 """
 
 import random
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import product
 
 
@@ -38,7 +38,9 @@ class ProtocolViolation(RuntimeError):
     """Answers are inconsistent with the protocol's transcript structure."""
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__  # the slots' one writer, past Answer's read-only __setattr__
+
+
 class Answer:
     """A server's reply: one packet as the little-endian int `value` of
     `size` bytes, or silence (`value` None, `size` 0).
@@ -52,32 +54,50 @@ class Answer:
     payload's size is its byte count; a nonzero `size` that differs from it,
     or a value that is neither None, an int nor bytes-like, raises
     ValueError too, as does silence with a nonzero `size`, so `SILENT` is
-    the one silent reply. Slots keep each reply small: an audit walk's table
-    holds one per distinct query.
+    the one silent reply. A reply is read-only: its two fields are slots,
+    set once by `__init__`, and assigning to either raises AttributeError.
+    One is built per answered query, and slot reads keep `decode` fast.
     """
 
-    value: int | None
-    size: int = 0
+    __slots__ = ("value", "size")
 
-    def __post_init__(self):
-        value = self.value
+    def __init__(self, value: int | bytes | None, size: int = 0):
         if value is None:
-            if self.size:
-                raise ValueError(f"a silent answer has size 0, not {self.size}")
-            return
-        if isinstance(value, int):
+            if size:
+                raise ValueError(f"a silent answer has size 0, not {size}")
+        elif isinstance(value, int):
             if value < 0:
                 raise ValueError("answer value is negative")
-            if value.bit_length() > 8 * self.size:
-                raise ValueError(f"answer value of {value.bit_length()} bits does not fit in {self.size} bytes")
+            if value.bit_length() > 8 * size:
+                raise ValueError(f"answer value of {value.bit_length()} bits does not fit in {size} bytes")
         elif isinstance(value, (bytes, bytearray, memoryview)):
             payload = bytes(value)  # counts bytes, not items, for any buffer format
-            if self.size and self.size != len(payload):
-                raise ValueError(f"answer payload of {len(payload)} bytes given size {self.size}")
-            object.__setattr__(self, "size", len(payload))
-            object.__setattr__(self, "value", int.from_bytes(payload, "little"))
+            if size and size != len(payload):
+                raise ValueError(f"answer payload of {len(payload)} bytes given size {size}")
+            value, size = int.from_bytes(payload, "little"), len(payload)
         else:
             raise ValueError(f"answer value must be None, an int or bytes-like, not {type(value).__name__}")
+        _set(self, "value", value)
+        _set(self, "size", size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only Answer")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.size == other.size
+
+    def __hash__(self):
+        return hash((self.value, self.size))
+
+    def __repr__(self):
+        return f"Answer(value={self.value!r}, size={self.size!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not by assignment
+        return Answer, (self.value, self.size)
 
     @property
     def silent(self) -> bool:
@@ -92,30 +112,42 @@ class Answer:
 SILENT = Answer(None)
 
 
-@dataclass(frozen=True)
-class GroupStorage:
-    """K x (M-1) packet grid held by every server of one group.
+class GroupStorage(namedtuple("GroupStorage", "m packets size")):
+    """K x (M-1) packet grid held by every server of one group, as a
+    read-only named tuple (m, packets, size).
 
     packets[k][i] is packet i of file k+1; all packets have equal length,
-    kept as `size` (0 when there are no packets). Packets are bytes-like:
+    kept as the derived trailing field `size` (0 when there are no
+    packets), which the constructor computes and `repr` leaves out.
+    Construction, `_make` and `_replace` all check the grid and recompute
+    `size`, so no path makes an unchecked grid. Packets are bytes-like:
     `scheme.group_storage` hands out memoryview slices of the library
     rather than copies, and `answer` reads each packet it needs in place.
     The virtual packet at index M-1 is represented by its absence.
     """
 
-    m: int
-    packets: tuple[tuple[bytes | memoryview, ...], ...]
-    size: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need M >= 2, got M={self.m}")
-        lengths = {len(p) for row in self.packets for p in row}
-        if any(len(row) != self.m - 1 for row in self.packets):
-            raise ValueError(f"every file needs exactly {self.m - 1} packets")
+    def __new__(cls, m: int, packets: tuple[tuple[bytes | memoryview, ...], ...]):
+        if m < 2:
+            raise ValueError(f"need M >= 2, got M={m}")
+        lengths = {len(p) for row in packets for p in row}
+        if any(len(row) != m - 1 for row in packets):
+            raise ValueError(f"every file needs exactly {m - 1} packets")
         if len(lengths) > 1:
             raise ValueError("packets in one group must have equal length")
-        object.__setattr__(self, "size", lengths.pop() if lengths else 0)
+        return tuple.__new__(cls, (m, packets, lengths.pop() if lengths else 0))
+
+    @classmethod
+    def _make(cls, fields):
+        m, packets, _size = fields
+        return cls(m, packets)
+
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__ from these
+        return self[:2]
+
+    def __repr__(self):
+        return f"GroupStorage(m={self.m!r}, packets={self.packets!r})"
 
     @property
     def k(self) -> int:
@@ -193,19 +225,19 @@ def query_positions(theta: int, m: int, k: int) -> list[int]:
 def answer(query: tuple[int, ...], storage: GroupStorage) -> Answer:
     """A server's reply to one query; independent of which file is wanted.
     It XORs, as little-endian ints, the stored packets its query points at."""
-    m = storage.m
+    m, packets, size = storage  # one unpacking, not three field reads
     if not _in_range(query, m):  # an empty query passes, and is left to the K check
         raise ValueError(f"query {query} has entries outside 0..{m - 1}")
-    if len(query) != len(storage.packets):
-        raise ValueError(f"query length {len(query)} != K={storage.k}")
+    if len(query) != len(packets):
+        raise ValueError(f"query length {len(query)} != K={len(packets)}")
     virtual = m - 1
     if query.count(virtual) == len(query):
         return SILENT
     value = 0
-    for row, q in zip(storage.packets, query):
+    for row, q in zip(packets, query):
         if q != virtual:
             value ^= int.from_bytes(row[q], "little")
-    return Answer(value, storage.size)
+    return Answer(value, size)
 
 
 def decode(theta: int, base: tuple[int, ...], answers: Sequence[Answer]) -> list[bytes]:

@@ -1,6 +1,5 @@
 """The audits must pass on honest schemes and fail on each injected fault."""
 
-import dataclasses
 import functools
 import hashlib
 import re
@@ -219,7 +218,7 @@ class TestCorrectnessAudit:
         def misassembled(*args):
             t = retrieve(*args)
             flipped = bytes([t.decoded_file[0] ^ 1]) + t.decoded_file[1:]
-            return dataclasses.replace(t, decoded_file=flipped)
+            return t._replace(decoded_file=flipped)
 
         monkeypatch.setattr("scpir.audit.retrieve", misassembled)
         check = correctness_audit(plan, layout, library)
@@ -249,7 +248,7 @@ class TestRateAudit:
         # the layout no longer covers the file: measured and expected must
         # not both shrink with it
         layout, _, library = build_instance(9, 4, 2)
-        short = dataclasses.replace(layout, groups=layout.groups[:-1])
+        short = layout._replace(groups=layout.groups[:-1])
         check = rate_audit(short, library)
         assert not check.passed
         assert (check.measured, check.expected) == ("30", str(Fraction(135, 4)))
@@ -266,8 +265,8 @@ class TestStorageAudit:
     def with_servers(layout, gi, servers):
         """The layout with region gi held by `servers` instead."""
         groups = list(layout.groups)
-        groups[gi] = dataclasses.replace(groups[gi], servers=servers)
-        return dataclasses.replace(layout, groups=tuple(groups))
+        groups[gi] = groups[gi]._replace(servers=servers)
+        return layout._replace(groups=tuple(groups))
 
     def test_extra_holder_breaks_placement(self):
         layout, plan, _ = build_instance(9, 4, 2)

@@ -39,6 +39,14 @@ class TestFileLibrary:
         with pytest.raises(ValueError, match="every file must have exactly 3 symbols"):
             FileLibrary(2, 3, (b"abc", b"ab"))
 
+    def test_replace_and_make_check(self):
+        library = FileLibrary(2, 3, (b"abc", b"def"))
+        with pytest.raises(ValueError, match="every file must have exactly 2 symbols"):
+            library._replace(file_len=2)
+        with pytest.raises(ValueError, match="expected 3 files, got 2"):
+            FileLibrary._make((3, 3, library.data))
+        assert library._replace(data=(b"xyz", b"def")).file(1) == b"xyz"
+
 
 class TestMinimalLength:
     def test_values(self):

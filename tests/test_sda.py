@@ -1,7 +1,9 @@
 """Storage design arrays: constructions against published layouts and the
 closed-form counts they must hit."""
 
+import copy
 import hashlib
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -170,6 +172,11 @@ class TestValidate:
             (((1, 2), (1, 2), (3, 4), (3, 4), (5,)), "(5,2) storage design array: column 5 has 1 stars, expected 2"),
             (((1, 2), (3, 4), (1, 2), (5, 6), (4, 5)), "column 4 is not a sorted tuple of distinct servers in 1..5"),
             (((1, 2), (3, 4), (1, 2), (3, 5), (3, 5)), "(5,2) storage design array: row 3 has 3 stars, expected 2"),
+            # equal to (1, 2), in its run or after it, but not made of ints
+            (((1, 2), (1.0, 2.0), (3, 4), (3, 5), (4, 5)), "column 2 is not a sorted tuple of distinct servers in 1..5"),
+            (((1, 2), (True, 2), (3, 4), (3, 5), (4, 5)), "column 2 is not a sorted tuple of distinct servers in 1..5"),
+            (((1, 2), (3, 4), (1.0, 2.0), (3, 5), (4, 5)), "column 3 is not a sorted tuple of distinct servers in 1..5"),
+            (((1, 2), (3, 4), (True, 2), (3, 5), (4, 5)), "column 3 is not a sorted tuple of distinct servers in 1..5"),
         ],
     )
     def test_first_bad_column_around_repeats(self, columns, message):
@@ -179,6 +186,34 @@ class TestValidate:
         # two-column (4, 2) arrays above cannot hold
         with pytest.raises(ValueError, match=re.escape(message)):
             sda.StorageDesignArray(5, 2, columns)
+
+    def test_equal_int_repeats_that_are_other_tuples_pass(self):
+        columns = ((1, 2), tuple([1, 2]), (3, 4), (3, 5), (4, 5))
+        array = sda.StorageDesignArray(5, 2, columns)
+        assert array.subsets == ((1, 2), (3, 4), (3, 5), (4, 5))
+        assert array.multiplicities == (2, 1, 1, 1)
+
+    def test_repr_leaves_out_derived_fields(self):
+        assert repr(sda.build_greedy(5, 2)) == (
+            "StorageDesignArray(n=5, m=2, column_sets=((1, 2), (1, 2), (3, 4), (3, 5), (4, 5)))"
+        )
+
+    def test_copy_and_pickle_rebuild_through_the_constructor(self):
+        array = sda.build_greedy(9, 4)
+        for twin in (copy.copy(array), pickle.loads(pickle.dumps(array))):
+            assert twin == array
+            assert (twin.subsets, twin.multiplicities) == (array.subsets, array.multiplicities)
+
+    def test_replace_and_make_validate(self):
+        array = sda.build_greedy(5, 2)
+        message = "not a valid (5,2) storage design array: row 3 has 3 stars, expected 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            array._replace(column_sets=((1, 2), (1, 2), (3, 4), (3, 5), (3, 5)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sda.StorageDesignArray._make((5, 2, ((1, 2), (1, 2), (3, 4), (3, 5), (3, 5)), (), ()))
+        other = array._replace(column_sets=((1, 2), (1, 2), (3, 4), (3, 5), (4, 5))[::-1])
+        assert other.subsets == ((4, 5), (3, 5), (3, 4), (1, 2))
+        assert other.multiplicities == (1, 1, 1, 2)
 
 
 class TestColumnProfile:
@@ -226,6 +261,14 @@ class TestAlphaAssignment:
             alpha.entries[(1, 2)] = Fraction(5)
         source[(1, 2)] = Fraction(5)  # the assignment holds its own copy
         assert alpha.entries[(1, 2)] == Fraction(1, 2)
+
+    def test_replace_checks(self):
+        alpha = sda.AlphaAssignment(4, 2, {(1, 2): Fraction(1, 2), (3, 4): Fraction(1, 2)})
+        with pytest.raises(ValueError, match=re.escape("group (1, 2) does not have 3 distinct servers")):
+            alpha._replace(m=3)
+        again = alpha._replace(entries={(1, 3): Fraction(1, 2), (2, 4): Fraction(1, 2)})
+        with pytest.raises(TypeError):
+            again.entries[(1, 3)] = Fraction(1)  # read-only again
 
     def test_invariant_checker_rejects_bad_sums(self):
         with pytest.raises(ValueError):
@@ -373,6 +416,13 @@ class TestImproved:
         array = sda.build_improved(9, 4)  # d=2, zero leading blocks
         assert rows_of(array) == Q_ARRAY_4
         assert sda.column_profile(array).eta == 5
+
+    def test_d_2_is_the_template_or_its_flip(self):
+        # no full block, so the tail alone, built once: the template for
+        # N = 2M+1, the flipped (M-1) template for N = 2M-1
+        for m in range(3, 60):
+            assert sda.build_improved(2 * m + 1, m) == sda.build_q_array(m)
+            assert sda.build_improved(2 * m - 1, m) == sda.opposite(sda.build_q_array(m - 1))
 
     def test_leading_blocks(self):
         array = sda.build_improved(16, 5)  # d=3: one 5x5 block then the template

@@ -1,6 +1,8 @@
 """One protocol group: queries, answers, decoding, and the exact counts
 the construction promises."""
 
+import copy
+import pickle
 import random
 import re
 from array import array
@@ -93,6 +95,29 @@ class TestAnswer:
         with pytest.raises(ValueError, match="query length 1 != K=2"):
             answer((0,), storage_2_2())
 
+    def test_equality_hash_and_repr(self):
+        # a payload converts to the int reply `answer` builds for the same bytes
+        assert Answer(b"\x01\x00") == Answer(1, 2)
+        assert hash(Answer(b"\x01\x00")) == hash(Answer(1, 2))
+        assert Answer(1, 2) != Answer(1, 3)
+        assert repr(Answer(b"\x01\x00")) == "Answer(value=1, size=2)"
+
+    def test_copy_and_pickle_keep_the_reply(self):
+        for reply in (Answer(b"\x01\x00"), SILENT):
+            assert copy.copy(reply) == pickle.loads(pickle.dumps(reply)) == reply
+
+    @pytest.mark.parametrize("field", ["value", "size"])
+    def test_fields_are_read_only(self, field):
+        reply = Answer(5, 1)
+        with pytest.raises(AttributeError):
+            setattr(reply, field, 0)
+        with pytest.raises(AttributeError):
+            setattr(SILENT, field, 7)
+        with pytest.raises(AttributeError):
+            reply.extra = 1  # slots: no other attribute either
+        assert (reply.value, reply.size) == (5, 1)
+        assert (SILENT.value, SILENT.size) == (None, 0) and SILENT.silent
+
 
 class TestGroupStorage:
     def test_needs_two_servers(self):
@@ -106,6 +131,14 @@ class TestGroupStorage:
     def test_rejects_mixed_packet_lengths(self):
         with pytest.raises(ValueError, match="packets in one group must have equal length"):
             GroupStorage(3, ((b"a", b"bc"), (b"d", b"e")))
+
+    def test_replace_checks_and_recomputes_size(self):
+        storage = GroupStorage(3, ((b"a", b"b"), (b"c", b"d")))
+        with pytest.raises(ValueError, match="every file needs exactly 2 packets"):
+            storage._replace(packets=((b"a",),))
+        wider = storage._replace(packets=((b"ab", b"cd"),))
+        assert (wider.size, wider.k) == (2, 1)
+        assert repr(wider) == "GroupStorage(m=3, packets=((b'ab', b'cd'),))"
 
 
 class TestDecode:
